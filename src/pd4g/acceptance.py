@@ -91,10 +91,6 @@ def trained(
     return _TRAIN_CACHE[key]
 
 
-def clear_cache() -> None:
-    _TRAIN_CACHE.clear()
-
-
 # ---------------------------------------------------------------- criteria
 
 
@@ -211,11 +207,35 @@ def _rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
     return float(np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12))
 
 
+def _render_gradient_error(rng: np.random.Generator, level: int) -> float:
+    """Closed-form render-loss gradient vs central differences through ``render``.
+
+    A small generated scene, a random timestep and a random interior mask
+    keep the L1 and clamp kinks out of the finite-difference stencil.
+    """
+    kind = toyscene.SCENE_KINDS[int(rng.integers(len(toyscene.SCENE_KINDS)))]
+    count = int(rng.integers(8, 24))
+    steps = int(rng.integers(1, 4))
+    scene = toyscene.make_scene(kind, count, steps, int(rng.integers(1 << 30)), image_size=(16, 16))
+    k = int(rng.integers(scene.deformations.step_count))
+    t = float(scene.deformations.timesteps[k])
+    mask = rng.uniform(0.05, 0.95, count)
+
+    def loss_of(m):
+        bank = MaskBank(levels=(m, m, m))
+        return toyscene.l1_distortion(toyscene.render(scene, bank, level, t), scene.ground_truth[k])
+
+    pixels = toyscene._pixel_grid(*scene.image_size)
+    splat = toyscene._Splat(scene.anchors, scene.deformations, level, t, pixels)
+    _, analytic = toyscene._render_gradient(splat, mask, scene.ground_truth[k].reshape(-1, 3))
+    return _rel_err(analytic, _fd_gradient(loss_of, mask))
+
+
 def criterion_gradients(configs: int = 100) -> tuple[bool, str]:
-    """Closed-form rate/consistency gradients match central differences."""
+    """Closed-form render/rate/consistency gradients match central differences."""
     rng = np.random.default_rng(41)
     quant = dict(toyscene.DEFAULT_QUANT_STEPS)
-    worst = {"rate": 0.0, "binary": 0.0, "smooth": 0.0}
+    worst = {"rate": 0.0, "binary": 0.0, "smooth": 0.0, "render": 0.0}
     for _ in range(configs):
         anchors, mask, pairs = _random_gradient_fixture(rng)
 
@@ -239,11 +259,14 @@ def criterion_gradients(configs: int = 100) -> tuple[bool, str]:
                 _fd_gradient(lambda m: losses.smoothness_loss(m, anchors.positions, pairs, tau), mask),
             ),
         )
+    render_configs = configs // 5  # cycling through levels 0, 1, 2
+    for case in range(render_configs):
+        worst["render"] = max(worst["render"], _render_gradient_error(rng, case % 3))
     bad = {k: v for k, v in worst.items() if v > 1e-4}
     details = ", ".join(f"{k}={v:.2e}" for k, v in worst.items())
     if bad:
         return False, f"relative error above 1e-4: {details}"
-    return True, f"worst relative errors over {configs} configs: {details}"
+    return True, f"worst relative errors over {configs} configs ({render_configs} render scenes): {details}"
 
 
 def random_asset(rng: np.random.Generator):

@@ -11,18 +11,9 @@ model is safe for concurrent reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Optional
 
 import numpy as np
-
-
-class Layer(IntEnum):
-    """Bitstream layer identifiers, in transmission order."""
-
-    STATIC = 0
-    GLOBAL = 1
-    LOCAL = 2
 
 
 LAYER_COUNT = 3
@@ -212,21 +203,6 @@ class DeformationTable:
     def nearest_index(self, t: float) -> int:
         """Index of the stored timestep closest to ``t`` (ties go to the earlier one)."""
         return int(np.argmin(np.abs(self.timesteps - float(t))))
-
-    @staticmethod
-    def zeros(timesteps: np.ndarray, count: int, dim: int, feature_dim: int) -> "DeformationTable":
-        steps = np.asarray(timesteps, dtype=np.float64).shape[0]
-        return DeformationTable(
-            timesteps=np.asarray(timesteps, dtype=np.float64),
-            displacements=np.zeros((steps, count, dim)),
-            feature_residuals=np.zeros((steps, count, feature_dim)),
-            local=LocalResiduals(
-                d_position=np.zeros((steps, count, dim)),
-                d_scale=np.zeros((steps, count)),
-                d_opacity=np.zeros((steps, count)),
-                d_color=np.zeros((steps, count, 3)),
-            ),
-        )
 
 
 def gate_attributes(anchors: AnchorSet, mask: np.ndarray) -> AnchorSet:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import lzma
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -63,8 +64,8 @@ class EncodeConfig:
         if missing:
             raise ValueError(f"missing quantization steps for families: {missing}")
         for fam in QUANT_FAMILIES:
-            if not self.quant_steps[fam] > 0:
-                raise ValueError(f"quantization step for {fam!r} must be positive")
+            if not 0 < self.quant_steps[fam] < math.inf:
+                raise ValueError(f"quantization step for {fam!r} must be positive and finite")
         if not (0 <= self.preset <= 9):
             raise ValueError("compressor preset must lie in 0..9")
 
@@ -321,11 +322,17 @@ def _parse_header(data: bytes):
     version, preset, flags, dim = struct.unpack_from("<BBBB", data, 4)
     if version != VERSION:
         raise FormatError(f"unsupported container version {version}")
+    if flags != 0:
+        raise FormatError(f"reserved flags byte is 0x{flags:02x}; it must be 0")
+    if dim not in (2, 3):
+        raise FormatError(f"spatial dimension {dim} is not 2 or 3")
     count, feature_dim, step_count = struct.unpack_from("<IHH", data, 8)
     quant = {}
     off = 16
     for fam in QUANT_FAMILIES:
         (quant[fam],) = struct.unpack_from("<d", data, off)
+        if not 0 < quant[fam] < math.inf:
+            raise FormatError(f"quantization step for {fam!r} is {quant[fam]!r}; it must be positive and finite")
         off += 8
     (chunk_count,) = struct.unpack_from("<B", data, off)
     off += 1
@@ -346,7 +353,6 @@ def _parse_header(data: bytes):
         chunks.append(ChunkInfo(layer, width, raw_len, comp_len, crc))
     header = {
         "preset": preset,
-        "flags": flags,
         "dim": dim,
         "count": count,
         "feature_dim": feature_dim,
@@ -429,7 +435,6 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
         int(v): (pos[i], feat[i], scale[i], off[i], opac[i], col[i]) for i, v in enumerate(base_idx)
     }
     level_masks: dict[int, dict[int, float]] = {0: {}, 1: {}, 2: {}}
-    level_members: dict[int, np.ndarray] = {0: base_idx}
     for i, v in enumerate(base_idx):
         level_masks[0][int(v)] = float(mask0[i])
 
@@ -459,7 +464,6 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
         members = np.concatenate([base_idx[refs], supp_idx])
         order = np.argsort(members, kind="stable")
         members = members[order]
-        level_members[level] = members
         n_level = members.size
         masks = _unpack_ints(buf, n_level, info.index_width) * q["mask"]
         for i, v in enumerate(members):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asset import MaskBank, check_layer
+from .asset import check_layer
 from .seeds import rng_for
 
 MASK_EPS = 1e-7  # keeps exact {0,1} masks representable inside the logs
@@ -149,28 +149,28 @@ def consistency_loss(
 def level_loss(
     render_loss: float,
     rate: float,
-    bank: MaskBank,
+    mask: np.ndarray,
     level: int,
     weights: LossWeights,
     positions: np.ndarray,
     pairs: np.ndarray,
     per_anchor_bits: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Total loss for one sampled level and the mask gradient of its non-render part.
+) -> tuple[float, np.ndarray, float]:
+    """One level's total loss, the mask gradient of its non-render terms, and its consistency term.
 
-    ``rate`` is the already-computed mask-weighted bit cost for this level.
-    The gradient covers the rate and consistency terms only; the render-loss
-    gradient is estimated by the caller (finite differences through the
-    renderer) and added there. ``per_anchor_bits`` supplies the rate
+    ``mask`` is the sampled level's mask vector and ``rate`` its
+    already-computed mask-weighted bit cost. The gradient covers the rate and
+    consistency terms only; the caller differentiates the render loss through
+    its renderer and adds that. ``per_anchor_bits`` supplies the rate
     gradient; a scalar rate alone cannot be differentiated per anchor, so
     without it the rate term contributes value but no gradient.
     """
     level = check_layer(level)
-    mask = bank.level(level)
+    mask = np.asarray(mask, dtype=np.float64)
     lam = weights.lambda_layer[level]
     tmc_value, tmc_grad = consistency_loss(mask, positions, pairs, weights)
     total = float(render_loss) + lam * float(rate) + weights.lambda_temporal * tmc_value
     grad = weights.lambda_temporal * tmc_grad
     if per_anchor_bits is not None:
         grad = grad + lam * np.asarray(per_anchor_bits, dtype=np.float64) / mask.size
-    return total, grad
+    return total, grad, tmc_value

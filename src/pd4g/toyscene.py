@@ -23,7 +23,6 @@ from .asset import (
     MaskBank,
     activation_rate,
     check_layer,
-    gate_attributes,
     route_level,
 )
 from .seeds import counter_uniform, derive_seed, rng_for
@@ -119,25 +118,87 @@ def _pixel_grid(width: int, height: int) -> np.ndarray:
     return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
-def _blob_weights(
-    positions: np.ndarray,
-    scales: np.ndarray,
-    opacities: np.ndarray,
-    pixels: np.ndarray,
-    d2: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-anchor, per-pixel splat weights alpha * exp(-d^2 / (2 s^2)), (V, P)."""
-    if d2 is None:
-        d2 = _pairwise_d2(positions, pixels)
-    s2 = np.maximum(scales, _SCALE_FLOOR) ** 2
-    w = opacities[:, None] * np.exp(-d2 / (2.0 * s2[:, None]))
-    w[scales <= _SCALE_FLOOR] = 0.0
-    return w
-
-
 def _pairwise_d2(positions: np.ndarray, pixels: np.ndarray) -> np.ndarray:
     diff = positions[:, None, :] - pixels[None, :, :]
     return np.einsum("vpk,vpk->vp", diff, diff)
+
+
+class _Splat:
+    """The splat kernel: gate -> route -> splat -> clamp for one level and time.
+
+    Routing moves positions and colors only, so they and the squared
+    anchor-pixel distances are fixed at construction; the mask enters through
+    the gated opacity ``alpha = alpha0 * m`` and scale ``s = s0 * m``, which
+    level 2 offsets by its local residuals and clamps to [0, 1] and >= 0.
+    Each anchor splats ``alpha * exp(-d^2 / (2 s^2))`` per pixel, the image is
+    the color-weighted sum, clipped to [0, 1].
+    """
+
+    def __init__(
+        self,
+        anchors: AnchorSet,
+        deformations: DeformationTable | None,
+        level: int,
+        t: float,
+        pixels: np.ndarray,
+    ):
+        routed = route_level(anchors, deformations, level, t)
+        self.alpha0 = anchors.opacities
+        self.scale0 = anchors.scales
+        self.colors = routed.colors
+        self.d2 = _pairwise_d2(routed.positions, pixels)
+        self.d_opacity = None
+        self.d_scale = None
+        if level == 2:
+            k = deformations.nearest_index(t)
+            self.d_opacity = deformations.local.d_opacity[k]
+            self.d_scale = deformations.local.d_scale[k]
+
+    def attributes(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Gated (and on level 2 clamped) opacity and scale, and their mask derivatives."""
+        alpha = self.alpha0 * mask
+        scale = self.scale0 * mask
+        if self.d_opacity is None:
+            return alpha, scale, self.alpha0, self.scale0
+        alpha = alpha + self.d_opacity
+        scale = scale + self.d_scale
+        d_alpha = np.where((alpha > 0.0) & (alpha < 1.0), self.alpha0, 0.0)
+        d_scale = np.where(scale > 0.0, self.scale0, 0.0)
+        return np.clip(alpha, 0.0, 1.0), np.maximum(scale, 0.0), d_alpha, d_scale
+
+    def falloff(self, scale: np.ndarray) -> np.ndarray:
+        """Per-anchor, per-pixel exp(-d^2 / (2 s^2)), (V, P); zero for vanished blobs."""
+        live = scale > _SCALE_FLOOR
+        # a vanished blob's row is zeroed anyway; a unit width keeps its exp
+        # off numpy's slow underflow path
+        s2 = np.where(live, scale, 1.0) ** 2
+        e = np.divide(self.d2, -2.0 * s2[:, None])
+        np.exp(e, out=e)
+        e[~live] = 0.0
+        return e
+
+    def image(self, mask: np.ndarray) -> np.ndarray:
+        """Clipped (P, 3) image for a mask vector."""
+        alpha, scale, _, _ = self.attributes(mask)
+        weights = self.falloff(scale)
+        weights *= alpha[:, None]
+        return np.clip(weights.T @ self.colors, 0.0, 1.0)
+
+
+def _image(
+    anchors: AnchorSet,
+    deformations: DeformationTable | None,
+    mask: np.ndarray,
+    level: int,
+    t: float,
+    image_size: tuple[int, int],
+) -> np.ndarray:
+    width, height = image_size
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != (anchors.count,):
+        raise ValueError(f"mask length {mask.shape} does not match anchor count {anchors.count}")
+    splat = _Splat(anchors, deformations, level, t, _pixel_grid(width, height))
+    return splat.image(mask).reshape(height, width, 3)
 
 
 def render(scene: ToyScene, bank: MaskBank, level: int, t: float) -> np.ndarray:
@@ -147,13 +208,7 @@ def render(scene: ToyScene, bank: MaskBank, level: int, t: float) -> np.ndarray:
     prefix, then splatted additively and clamped. Pure and deterministic.
     """
     level = check_layer(level)
-    width, height = scene.image_size
-    gated = gate_attributes(scene.anchors, bank.level(level))
-    routed = route_level(gated, scene.deformations, level, t)
-    pixels = _pixel_grid(width, height)
-    weights = _blob_weights(routed.positions, routed.scales, routed.opacities, pixels)
-    raw = weights.T @ routed.colors
-    return np.clip(raw, 0.0, 1.0).reshape(height, width, 3)
+    return _image(scene.anchors, scene.deformations, bank.level(level), level, t, scene.image_size)
 
 
 def l1_distortion(rendered: np.ndarray, ground_truth: np.ndarray) -> float:
@@ -286,77 +341,30 @@ def make_scene(
         ),
     )
 
-    pixels = _pixel_grid(width, height)
     full_mask = np.ones(count)
-    gt = np.empty((timesteps, height, width, 3))
-    for k, t in enumerate(times):
-        routed = route_level(gate_attributes(anchors, full_mask), deformations, 2, float(t))
-        weights = _blob_weights(routed.positions, routed.scales, routed.opacities, pixels)
-        gt[k] = np.clip(weights.T @ routed.colors, 0.0, 1.0).reshape(height, width, 3)
-
+    gt = np.stack([_image(anchors, deformations, full_mask, 2, float(t), (width, height)) for t in times])
     return ToyScene(anchors=anchors, deformations=deformations, image_size=(width, height), ground_truth=gt)
 
 
-class _LevelSplat:
-    """Cached per-(level, timestep) splat state for fast mask perturbation."""
+def _render_gradient(splat: _Splat, mask: np.ndarray, gt_flat: np.ndarray) -> tuple[float, np.ndarray]:
+    """L1 render loss against ``gt_flat`` (P, 3) and its closed-form mask (sub)gradient.
 
-    def __init__(self, scene: ToyScene, level: int, k: int, pixels: np.ndarray):
-        anchors = scene.anchors
-        table = scene.deformations
-        mu = anchors.positions
-        self.alpha0 = anchors.opacities.copy()
-        self.scale0 = anchors.scales.copy()
-        self.colors = anchors.colors
-        self.d_opacity = None
-        self.d_scale = None
-        if level >= 1:
-            mu = mu + table.displacements[k]
-        if level == 2:
-            loc = table.local
-            mu = mu + loc.d_position[k]
-            self.d_scale = loc.d_scale[k]
-            self.d_opacity = loc.d_opacity[k]
-            self.colors = np.clip(anchors.colors + loc.d_color[k], 0.0, 1.0)
-        self.d2 = _pairwise_d2(mu, pixels)
-
-    def weights(self, mask: np.ndarray) -> np.ndarray:
-        """Splat weights for a mask vector, including the level-2 residual clamps."""
-        alpha = self.alpha0 * mask
-        scale = self.scale0 * mask
-        if self.d_opacity is not None:
-            alpha = np.clip(alpha + self.d_opacity, 0.0, 1.0)
-            scale = np.maximum(scale + self.d_scale, 0.0)
-        s2 = np.maximum(scale, _SCALE_FLOOR) ** 2
-        w = alpha[:, None] * np.exp(-self.d2 / (2.0 * s2[:, None]))
-        w[scale <= _SCALE_FLOOR] = 0.0
-        return w
-
-
-def _render_gradient(
-    splat: _LevelSplat,
-    mask: np.ndarray,
-    gt_flat: np.ndarray,
-    h: float = 1e-4,
-) -> tuple[float, np.ndarray]:
-    """Render loss and its central-finite-difference gradient w.r.t. the mask.
-
-    The splat is additive, so perturbing one mask entry changes only that
-    anchor's weight row; all per-anchor perturbed images are evaluated in one
-    vectorized pass per direction.
+    With ``G = sign(clip(raw) - gt) * 1[0 < raw < 1] / (P * 3)`` the loss
+    gradient w.r.t. the splat weights is ``C @ G.T`` (V, P), and each weight
+    ``alpha * E`` with ``E = exp(-d^2 / (2 s^2))`` moves with the mask as
+    ``alpha' * E + alpha * E * d^2 / s^3 * s'``. Where a clamp binds, its
+    derivative (``alpha'`` or ``s'``) is zero; ``sign(0) = 0`` at exact matches.
     """
-    w0 = splat.weights(mask)
-    raw0 = w0.T @ splat.colors  # (P, 3)
-    base_loss = float(np.mean(np.abs(np.clip(raw0, 0.0, 1.0) - gt_flat)))
-
-    grad = np.empty_like(mask)
-    pert_losses = []
-    for signed_h in (h, -h):
-        w_pert = splat.weights(mask + signed_h)
-        delta = (w_pert - w0)[:, :, None] * splat.colors[:, None, :]  # (V, P, 3)
-        images = np.clip(raw0[None, :, :] + delta, 0.0, 1.0)
-        pert_losses.append(np.mean(np.abs(images - gt_flat[None, :, :]), axis=(1, 2)))
-    grad[:] = (pert_losses[0] - pert_losses[1]) / (2.0 * h)
-    return base_loss, grad
+    alpha, scale, d_alpha, d_scale = splat.attributes(mask)
+    falloff = splat.falloff(scale)
+    raw = (alpha[:, None] * falloff).T @ splat.colors  # (P, 3)
+    diff = np.clip(raw, 0.0, 1.0) - gt_flat
+    loss = float(np.mean(np.abs(diff)))
+    g = np.sign(diff) * ((raw > 0.0) & (raw < 1.0)) / diff.size
+    dw = (splat.colors @ g.T) * falloff  # dL/dw * E, (V, P)
+    s3 = np.maximum(scale, _SCALE_FLOOR) ** 3
+    grad = d_alpha * dw.sum(axis=1) + (alpha * d_scale / s3) * np.einsum("vp,vp->v", dw, splat.d2)
+    return loss, grad
 
 
 def train_masks(
@@ -374,12 +382,12 @@ def train_masks(
     """Train the per-level masks end to end and report convergence statistics.
 
     Each step samples a forward level from the current capacity-weighted
-    distribution and a random timestep, estimates the render-loss mask
-    gradient by central finite differences through the splat, and adds the
-    closed-form rate and consistency gradients once ``progressive_start`` is
-    reached. Masks follow projected gradient descent onto [0, 1]. Every
-    ``sample_period`` steps the activation rate is re-measured and folded
-    into the scheduler's moving average.
+    distribution and a random timestep, differentiates the L1 render loss
+    through the splat in closed form, and from ``progressive_start`` on adds
+    the rate and consistency terms of ``losses.level_loss``. Masks follow
+    projected gradient descent onto [0, 1]. Every ``sample_period`` steps the
+    activation rate is re-measured and folded into the scheduler's moving
+    average.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -387,8 +395,7 @@ def train_masks(
         raise ValueError("training requires a scene with deformation tables")
     quant_steps = dict(DEFAULT_QUANT_STEPS if quant_steps is None else quant_steps)
     count = scene.anchors.count
-    width, height = scene.image_size
-    pixels = _pixel_grid(width, height)
+    pixels = _pixel_grid(*scene.image_size)
     gt_flat = scene.ground_truth.reshape(scene.deformations.step_count, -1, 3)
 
     levels = [np.ones(count), np.ones(count), np.ones(count)]
@@ -396,7 +403,7 @@ def train_masks(
     rollout_seed = derive_seed(seed, "rollout")
     timestep_seed = derive_seed(seed, "timestep")
 
-    splat_cache: dict[tuple[int, int], _LevelSplat] = {}
+    splat_cache: dict[tuple[int, int], _Splat] = {}
     trajectory: list[tuple[int, float, float]] = []
     curve: list[dict] = []
     positions = scene.anchors.positions
@@ -415,27 +422,26 @@ def train_masks(
 
         key = (level, k)
         if key not in splat_cache:
-            splat_cache[key] = _LevelSplat(scene, level, k, pixels)
-        splat = splat_cache[key]
+            t = float(scene.deformations.timesteps[k])
+            splat_cache[key] = _Splat(scene.anchors, scene.deformations, level, t, pixels)
 
         mask = levels[level]
-        render_loss, grad = _render_gradient(splat, mask, gt_flat[k])
-        rate = 0.0
-        consistency = 0.0
+        render_loss, grad = _render_gradient(splat_cache[key], mask, gt_flat[k])
+        total, rate, consistency = render_loss, 0.0, 0.0
         if step >= progressive_start:
             active = mask > threshold
+            bits = None
             if int(active.sum()) >= 2:
                 priors = entropy.family_priors(scene.anchors, active, quant_steps)
                 bits = entropy.per_anchor_bits(scene.anchors, priors)
                 rate = float(np.mean(mask * bits))
-                grad = grad + weights.lambda_layer[level] * bits / count
             pairs = losses.sample_pairs(
                 count, weights.pair_factor * count, derive_seed(seed, "pairs", step)
             )
-            consistency, consistency_grad = losses.consistency_loss(mask, positions, pairs, weights)
-            grad = grad + weights.lambda_temporal * consistency_grad
-
-        total = render_loss + weights.lambda_layer[level] * rate + weights.lambda_temporal * consistency
+            total, extra, consistency = losses.level_loss(
+                render_loss, rate, mask, level, weights, positions, pairs, per_anchor_bits=bits
+            )
+            grad = grad + extra
         if not np.isfinite(total) or not np.all(np.isfinite(grad)):
             raise TrainingDivergedError(step)
 

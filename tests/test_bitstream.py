@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,11 @@ class TestEncode:
         bank = MaskBank(levels=(np.zeros(n), np.ones(n), np.ones(n)))
         with pytest.raises(EmptyBaseLayerError):
             encode(anchors, bank, table)
+
+    @pytest.mark.parametrize("step", [0.0, -0.5, float("inf"), float("nan")])
+    def test_config_rejects_steps_the_decoder_would(self, step):
+        with pytest.raises(ValueError, match="positive and finite"):
+            EncodeConfig(quant_steps={**DEFAULT_QUANT_STEPS, "scale": step})
 
     def test_zero_tables_still_emit_all_chunks(self):
         scene = make_scene("static", 12, 2, seed=1, image_size=(12, 12))
@@ -129,6 +136,28 @@ class TestDecodePrefix:
         blob = bytearray(encode(anchors, bank, table))
         blob[0] = ord("X")
         with pytest.raises(FormatError):
+            decode_prefix(bytes(blob))
+
+    def test_nonzero_flags_rejected(self, asset):
+        blob = bytearray(encode(*asset))
+        blob[6] = 0x01  # reserved flags byte
+        with pytest.raises(FormatError, match="flags"):
+            decode_prefix(bytes(blob))
+        with pytest.raises(FormatError):
+            manifest(bytes(blob))
+
+    @pytest.mark.parametrize("dim", [0, 1, 4, 7])
+    def test_unsupported_dim_rejected(self, asset, dim):
+        blob = bytearray(encode(*asset))
+        blob[7] = dim
+        with pytest.raises(FormatError, match="dimension"):
+            decode_prefix(bytes(blob))
+
+    @pytest.mark.parametrize("step", [-1.0 / 16.0, 0.0, float("inf"), float("-inf"), float("nan")])
+    def test_bad_quant_step_rejected(self, asset, step):
+        blob = bytearray(encode(*asset))
+        struct.pack_into("<d", blob, 16 + 8 * 2, step)  # the scale family's step
+        with pytest.raises(FormatError, match="quantization step"):
             decode_prefix(bytes(blob))
 
     def test_truncated_base_layer(self, asset):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from pd4g.asset import MaskBank
 from pd4g.losses import (
     InsufficientAnchorsError,
     LossWeights,
@@ -106,35 +105,35 @@ class TestSamplePairs:
 class TestLevelLoss:
     def _setup(self, mask):
         mask = np.asarray(mask, dtype=float)
-        bank = MaskBank(levels=(mask, mask.copy(), mask.copy()))
         positions = np.random.default_rng(0).uniform(0, 1, (mask.size, 2))
         pairs = sample_pairs(mask.size, 4 * mask.size, 5)
-        return bank, positions, pairs
+        return mask, positions, pairs
 
     def test_reduces_to_render_loss_without_weights(self):
-        bank, positions, pairs = self._setup(np.full(6, 0.37))
+        mask, positions, pairs = self._setup(np.full(6, 0.37))
         weights = LossWeights(lambda_layer=(0.0, 0.0, 0.0), lambda_temporal=0.0)
-        total, grad = level_loss(1.25, 99.0, bank, 0, weights, positions, pairs)
+        total, grad, consistency = level_loss(1.25, 99.0, mask, 0, weights, positions, pairs)
         assert total == 1.25
         assert np.all(grad == 0)
+        assert consistency > 0
 
     def test_weighted_rate_example(self):
-        bank, positions, pairs = self._setup(np.ones(6))
+        mask, positions, pairs = self._setup(np.ones(6))
         weights = LossWeights(lambda_layer=(0.04, 0.01, 0.00025), lambda_temporal=0.01)
-        total, _ = level_loss(0.0, 2.0, bank, 0, weights, positions, pairs)
+        total, _, _ = level_loss(0.0, 2.0, mask, 0, weights, positions, pairs)
         assert total == pytest.approx(0.08, abs=1e-6)
 
     def test_gradient_includes_rate_term(self):
-        bank, positions, pairs = self._setup(np.full(4, 0.6))
+        mask, positions, pairs = self._setup(np.full(4, 0.6))
         weights = LossWeights(lambda_layer=(0.04, 0.01, 0.00025), lambda_temporal=0.0)
         bits = np.array([10.0, 20.0, 30.0, 40.0])
-        _, grad = level_loss(0.0, 1.0, bank, 0, weights, positions, pairs, per_anchor_bits=bits)
+        _, grad, _ = level_loss(0.0, 1.0, mask, 0, weights, positions, pairs, per_anchor_bits=bits)
         np.testing.assert_allclose(grad, 0.04 * bits / 4)
 
     def test_all_terms_non_negative(self):
-        bank, positions, pairs = self._setup(np.random.default_rng(1).uniform(0, 1, 8))
+        mask, positions, pairs = self._setup(np.random.default_rng(1).uniform(0, 1, 8))
         weights = LossWeights()
-        total, _ = level_loss(0.5, 3.0, bank, 1, weights, positions, pairs)
+        total, _, _ = level_loss(0.5, 3.0, mask, 1, weights, positions, pairs)
         assert total >= 0.5
 
 

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from pd4g.asset import MaskBank, MissingLayerError
+from pd4g.acceptance import _fd_gradient, _rel_err
+from pd4g.asset import DeformationTable, LocalResiduals, MaskBank, MissingLayerError
 from pd4g.losses import LossWeights
 from pd4g.rollout import RolloutConfig
 from pd4g.toyscene import (
     SCENE_KINDS,
     ToyScene,
+    _pixel_grid,
+    _render_gradient,
+    _Splat,
     l1_distortion,
     make_scene,
     psnr,
@@ -133,10 +137,12 @@ class TestMakeScene:
             assert np.array_equal(l1, l2)
 
     def test_ground_truth_is_level2_render(self):
-        scene = make_scene("motion-dense", 16, 3, seed=8, image_size=(16, 16))
-        bank = MaskBank.all_ones(16)
-        for i, t in enumerate(scene.deformations.timesteps):
-            assert np.array_equal(render(scene, bank, 2, float(t)), scene.ground_truth[i])
+        # bit for bit: ground truth and render share one splat kernel
+        for kind in SCENE_KINDS:
+            scene = make_scene(kind, 16, 3, seed=8, image_size=(16, 12))
+            bank = MaskBank.all_ones(16)
+            for i, t in enumerate(scene.deformations.timesteps):
+                assert render(scene, bank, 2, float(t)).tobytes() == scene.ground_truth[i].tobytes()
 
     def test_parameter_domains(self):
         with pytest.raises(ValueError):
@@ -151,6 +157,62 @@ class TestMakeScene:
             scene = make_scene(kind, 8, 2, seed=2, image_size=(12, 12))
             assert scene.ground_truth.shape == (2, 12, 12, 3)
             assert np.all(scene.ground_truth >= 0) and np.all(scene.ground_truth <= 1)
+
+
+def _fd_render_gradient(scene, mask, level, k):
+    t = float(scene.deformations.timesteps[k])
+
+    def loss(m):
+        return l1_distortion(render(scene, MaskBank(levels=(m, m, m)), level, t), scene.ground_truth[k])
+
+    return _fd_gradient(loss, mask)
+
+
+class TestRenderGradient:
+    def _gradient(self, scene, mask, level, k):
+        t = float(scene.deformations.timesteps[k])
+        splat = _Splat(scene.anchors, scene.deformations, level, t, _pixel_grid(*scene.image_size))
+        return splat, _render_gradient(splat, mask, scene.ground_truth[k].reshape(-1, 3))
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_matches_finite_differences_at_interior_masks(self, small_scene, level):
+        mask = np.random.default_rng(level).uniform(0.05, 0.95, 24)
+        _, (loss, grad) = self._gradient(small_scene, mask, level, 1)
+        image = render(small_scene, MaskBank(levels=(mask, mask, mask)), level, 0.5)  # timestep 1 of 0, 0.5, 1
+        assert loss == l1_distortion(image, small_scene.ground_truth[1])
+        assert _rel_err(grad, _fd_render_gradient(small_scene, mask, level, 1)) < 1e-4
+
+    def test_level2_clamps_zero_their_derivative(self):
+        base = make_scene("motion-dense", 12, 2, seed=3, image_size=(16, 16))
+        loc = base.deformations.local
+        d_opacity = np.array(loc.d_opacity)
+        d_scale = np.array(loc.d_scale)
+        d_opacity[:, :2] = 0.95  # opacity clamps at 1 for anchors 0, 1
+        d_scale[:, 2:4] = -0.2  # scale clamps at 0 for anchors 2, 3
+        table = DeformationTable(
+            timesteps=base.deformations.timesteps,
+            displacements=base.deformations.displacements,
+            feature_residuals=base.deformations.feature_residuals,
+            local=LocalResiduals(
+                d_position=loc.d_position, d_scale=d_scale, d_opacity=d_opacity, d_color=loc.d_color
+            ),
+        )
+        scene = ToyScene(anchors=base.anchors, deformations=table, image_size=(16, 16), ground_truth=base.ground_truth)
+        mask = np.random.default_rng(0).uniform(0.3, 0.9, 12)
+        splat, (_, grad) = self._gradient(scene, mask, 2, 1)
+        alpha, scale, d_alpha, d_scale_dm = splat.attributes(mask)
+        assert np.all(alpha[:2] == 1.0) and np.all(d_alpha[:2] == 0.0)
+        assert np.all(scale[2:4] == 0.0) and np.all(d_scale_dm[2:4] == 0.0)
+        assert np.all(grad[2:4] == 0.0)  # a vanished blob has no render gradient
+        assert np.all(grad[:2] != 0.0)  # the scale path still moves clamped-opacity anchors
+        assert _rel_err(grad, _fd_render_gradient(scene, mask, 2, 1)) < 1e-4
+
+    def test_subgradient_vanishes_where_render_matches_ground_truth(self, small_scene):
+        ones = np.ones(24)
+        for k in range(small_scene.deformations.step_count):
+            _, (loss, grad) = self._gradient(small_scene, ones, 2, k)
+            assert loss == 0.0
+            assert np.all(grad == 0.0)
 
 
 class TestTrainMasks:
