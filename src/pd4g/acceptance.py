@@ -469,7 +469,7 @@ def criterion_rate_coder_correlation(points: int = 20) -> tuple[bool, str]:
         modeled.append(float(np.sum(entropy.bit_cost(values, prior))))
         indices = entropy.quantize_array(values, q)
         width = 2 if np.abs(indices).max() < 2**15 else 4
-        payload = bitstream._pack_ints(indices, width)
+        payload = bitstream._pack(indices, f"<i{width}")
         actual.append(len(lzma.compress(payload, preset=6)))
     corr = float(stats.spearmanr(modeled, actual).statistic)
     if corr < 0.9:

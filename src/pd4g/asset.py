@@ -78,11 +78,11 @@ class AnchorSet:
             raise ValueError("opacities must be a flat (count,) array")
         if self.colors.shape != (count, 3):
             raise ValueError("colors must be (count, 3)")
-        if np.any(self.scales < 0):
+        if not np.all(self.scales >= 0):
             raise ValueError("scales must be non-negative")
-        if np.any((self.opacities < 0) | (self.opacities > 1)):
+        if not np.all((self.opacities >= 0) & (self.opacities <= 1)):
             raise ValueError("opacities must lie in [0, 1]")
-        if np.any((self.colors < 0) | (self.colors > 1)):
+        if not np.all((self.colors >= 0) & (self.colors <= 1)):
             raise ValueError("colors must lie in [0, 1]")
 
     @property
@@ -172,9 +172,9 @@ class DeformationTable:
         t = self.timesteps
         if t.ndim != 1 or t.shape[0] < 1:
             raise ValueError("at least one timestep is required")
-        if np.any(t < 0) or np.any(t > 1):
+        if not np.all((t >= 0) & (t <= 1)):
             raise ValueError("timesteps must lie in [0, 1]")
-        if t.shape[0] > 1 and np.any(np.diff(t) <= 0):
+        if not np.all(np.diff(t) > 0):
             raise ValueError("timesteps must be strictly increasing")
         steps = t.shape[0]
         if self.displacements.ndim != 3 or self.displacements.shape[0] != steps:
@@ -203,27 +203,6 @@ class DeformationTable:
     def nearest_index(self, t: float) -> int:
         """Index of the stored timestep closest to ``t`` (ties go to the earlier one)."""
         return int(np.argmin(np.abs(self.timesteps - float(t))))
-
-
-def gate_attributes(anchors: AnchorSet, mask: np.ndarray) -> AnchorSet:
-    """Multiply opacity and scale symmetrically by the per-anchor mask.
-
-    A mask value of zero makes an anchor simultaneously transparent and
-    volume-free; positions, features, offsets and colors pass through.
-    """
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != (anchors.count,):
-        raise ValueError(f"mask length {mask.shape} does not match anchor count {anchors.count}")
-    if np.any((mask < 0) | (mask > 1)):
-        raise ValueError("mask values must lie in [0, 1]")
-    return AnchorSet(
-        positions=anchors.positions,
-        features=anchors.features,
-        scales=anchors.scales * mask,
-        offsets=anchors.offsets,
-        opacities=anchors.opacities * mask,
-        colors=anchors.colors,
-    )
 
 
 def active_set(mask: np.ndarray, threshold: float) -> np.ndarray:

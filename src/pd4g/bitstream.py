@@ -10,7 +10,6 @@ payload. See FORMAT.md for the byte-level layout.
 
 from __future__ import annotations
 
-import io
 import lzma
 import math
 import struct
@@ -52,6 +51,11 @@ class EmptyBaseLayerError(ValueError):
     """Nothing survives the base-layer mask threshold; the asset is unstreamable."""
 
 
+def _usable_quant_step(step: float) -> bool:
+    """Whether every 32-bit index, up to magnitude 2**31, reconstructs to a finite value."""
+    return step > 0 and math.isfinite(step * 2**31)
+
+
 @dataclass(frozen=True)
 class EncodeConfig:
     """Container-level knobs: per-family quantization steps and compressor preset."""
@@ -64,8 +68,8 @@ class EncodeConfig:
         if missing:
             raise ValueError(f"missing quantization steps for families: {missing}")
         for fam in QUANT_FAMILIES:
-            if not 0 < self.quant_steps[fam] < math.inf:
-                raise ValueError(f"quantization step for {fam!r} must be positive and finite")
+            if not _usable_quant_step(self.quant_steps[fam]):
+                raise ValueError(f"quantization step for {fam!r} must be positive and finite, also times 2**31")
         if not (0 <= self.preset <= 9):
             raise ValueError("compressor preset must lie in 0..9")
 
@@ -145,51 +149,9 @@ class DecodedPrefix:
     original_count: int
 
 
-def _pack_ints(values: np.ndarray, width: int) -> bytes:
-    dtype = "<i2" if width == 2 else "<i4"
+def _pack(values, dtype: str) -> bytes:
+    """Little-endian bytes of ``values`` as ``dtype`` (``"<u4"``, ``"<f4"``, ``"<i2"``, ...)."""
     return np.ascontiguousarray(values, dtype=dtype).tobytes()
-
-
-def _unpack_ints(buf: io.BytesIO, count: int, width: int) -> np.ndarray:
-    dtype = "<i2" if width == 2 else "<i4"
-    raw = buf.read(count * width)
-    if len(raw) != count * width:
-        raise FormatError("chunk payload ends mid-array")
-    return np.frombuffer(raw, dtype=dtype).astype(np.int64)
-
-
-def _pack_f32(values: np.ndarray) -> bytes:
-    return np.ascontiguousarray(values, dtype="<f4").tobytes()
-
-
-def _unpack_f32(buf: io.BytesIO, count: int) -> np.ndarray:
-    raw = buf.read(count * 4)
-    if len(raw) != count * 4:
-        raise FormatError("chunk payload ends mid-array")
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64)
-
-
-def _pack_u32(values) -> bytes:
-    return np.ascontiguousarray(values, dtype="<u4").tobytes()
-
-
-def _unpack_u32(buf: io.BytesIO, count: int) -> np.ndarray:
-    raw = buf.read(count * 4)
-    if len(raw) != count * 4:
-        raise FormatError("chunk payload ends mid-array")
-    return np.frombuffer(raw, dtype="<u4").astype(np.int64)
-
-
-def _base_record_arrays(anchors: AnchorSet, idx: np.ndarray, q: dict[str, float]):
-    """Quantization indices + raw float fields of the base attribute record."""
-    return {
-        "positions": quantize_array(anchors.positions[idx], q["position"]),
-        "features": quantize_array(anchors.features[idx], q["feature"]),
-        "scales": quantize_array(anchors.scales[idx], q["scale"]),
-        "offsets": quantize_array(anchors.offsets[idx], q["offset"]),
-        "opacities": anchors.opacities[idx],
-        "colors": anchors.colors[idx],
-    }
 
 
 def _collect_chunk_ints(parts: list[np.ndarray]) -> int:
@@ -202,6 +164,14 @@ def _collect_chunk_ints(parts: list[np.ndarray]) -> int:
     if -(2**15) <= lo and hi < 2**15:
         return 2
     return 4
+
+
+def _level_tables(deformations: DeformationTable, level: int) -> tuple[np.ndarray, ...]:
+    """The deformation arrays a layer carries, in payload order (none for layer 0)."""
+    if level == 1:
+        return deformations.displacements, deformations.feature_residuals
+    loc = deformations.local
+    return (loc.d_position, loc.d_scale, loc.d_opacity, loc.d_color) if level == 2 else ()
 
 
 def encode(
@@ -227,91 +197,48 @@ def encode(
     act = [active_set(bank.level(level), bank.threshold) for level in range(3)]
     if act[0].size == 0:
         raise EmptyBaseLayerError("no anchor exceeds the base-layer mask threshold")
-    base_pos = {int(v): i for i, v in enumerate(act[0])}
 
     chunks: list[bytes] = []
-
-    # --- layer 0: base attribute records for the level-0 active set
-    rec = _base_record_arrays(anchors, act[0], q)
-    mask_idx = quantize_array(bank.level(0)[act[0]], q["mask"])
-    int_parts = [rec["positions"], rec["features"], rec["scales"], rec["offsets"], mask_idx]
-    width0 = _collect_chunk_ints(int_parts)
-    body = io.BytesIO()
-    body.write(_pack_u32([act[0].size]))
-    body.write(_pack_u32(act[0]))
-    for arr in (rec["positions"], rec["features"], rec["scales"], rec["offsets"]):
-        body.write(_pack_ints(arr, width0))
-    body.write(_pack_f32(rec["opacities"]))
-    body.write(_pack_f32(rec["colors"]))
-    body.write(_pack_ints(mask_idx, width0))
-    chunks.append(body.getvalue())
-    widths = [width0]
-
-    # --- layers 1 and 2: membership, supplemental base records, masks, tables
-    for level in (1, 2):
-        idx = act[level]
-        shared_mask = np.isin(idx, act[0])
-        shared = idx[shared_mask]
-        supp = idx[~shared_mask]
-        refs = np.array([base_pos[int(v)] for v in shared], dtype=np.int64)
-
-        mask_idx = quantize_array(bank.level(level)[idx], q["mask"])
-        supp_rec = _base_record_arrays(anchors, supp, q)
-        if level == 1:
-            tables = [
-                quantize_array(deformations.displacements[:, idx, :], q["deform"]),
-                quantize_array(deformations.feature_residuals[:, idx, :], q["deform"]),
-            ]
-        else:
-            loc = deformations.local
-            tables = [
-                quantize_array(loc.d_position[:, idx, :], q["deform"]),
-                quantize_array(loc.d_scale[:, idx], q["deform"]),
-                quantize_array(loc.d_opacity[:, idx], q["deform"]),
-                quantize_array(loc.d_color[:, idx, :], q["deform"]),
-            ]
-        int_parts = [
-            supp_rec["positions"],
-            supp_rec["features"],
-            supp_rec["scales"],
-            supp_rec["offsets"],
-            mask_idx,
-            *tables,
+    widths: list[int] = []
+    for level, idx in enumerate(act):
+        # layer 0 carries a record for each member; higher layers refer to the
+        # records layer 0 carries and add supplemental records for the rest
+        in_base = np.isin(idx, act[0]) if level else np.zeros(idx.size, dtype=bool)
+        shared, supp = idx[in_base], idx[~in_base]
+        records = [
+            quantize_array(anchors.positions[supp], q["position"]),
+            quantize_array(anchors.features[supp], q["feature"]),
+            quantize_array(anchors.scales[supp], q["scale"]),
+            quantize_array(anchors.offsets[supp], q["offset"]),
         ]
-        width = _collect_chunk_ints(int_parts)
-        body = io.BytesIO()
-        if level == 1:
-            body.write(np.ascontiguousarray(deformations.timesteps, dtype="<f8").tobytes())
-        body.write(_pack_u32([shared.size, supp.size]))
-        body.write(_pack_u32(refs))
-        body.write(_pack_u32(supp))
-        for arr in (supp_rec["positions"], supp_rec["features"], supp_rec["scales"], supp_rec["offsets"]):
-            body.write(_pack_ints(arr, width))
-        body.write(_pack_f32(supp_rec["opacities"]))
-        body.write(_pack_f32(supp_rec["colors"]))
-        body.write(_pack_ints(mask_idx, width))
-        for arr in tables:
-            body.write(_pack_ints(arr, width))
-        chunks.append(body.getvalue())
+        ints = [
+            quantize_array(bank.level(level)[idx], q["mask"]),
+            *(quantize_array(t[:, idx], q["deform"]) for t in _level_tables(deformations, level)),
+        ]
+        width = _collect_chunk_ints(records + ints)
+        counts = [supp.size] if level == 0 else [shared.size, supp.size]
+        body = [_pack(deformations.timesteps, "<f8")] if level == 1 else []
+        body += [_pack(counts, "<u4"), _pack(np.searchsorted(act[0], shared), "<u4"), _pack(supp, "<u4")]
+        body += [_pack(a, f"<i{width}") for a in records]
+        body += [_pack(anchors.opacities[supp], "<f4"), _pack(anchors.colors[supp], "<f4")]
+        body += [_pack(a, f"<i{width}") for a in ints]
+        chunks.append(b"".join(body))
         widths.append(width)
 
     # --- header + chunk table + compressed payload
-    out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(struct.pack("<BBBB", VERSION, config.preset, 0, anchors.dim))
-    out.write(struct.pack("<IHH", anchors.count, anchors.feature_dim, deformations.step_count))
-    for fam in QUANT_FAMILIES:
-        out.write(struct.pack("<d", q[fam]))
-    out.write(struct.pack("<B", len(chunks)))
-
+    header = [
+        MAGIC,
+        struct.pack("<BBBB", VERSION, config.preset, 0, anchors.dim),
+        struct.pack("<IHH", anchors.count, anchors.feature_dim, deformations.step_count),
+        *(struct.pack("<d", q[fam]) for fam in QUANT_FAMILIES),
+        struct.pack("<B", len(chunks)),
+    ]
     compressed = [lzma.compress(c, preset=config.preset) for c in chunks]
-    for layer, (raw, comp, width) in enumerate(zip(chunks, compressed, widths)):
-        out.write(
-            struct.pack("<BBQQI", layer, width, len(raw), len(comp), zlib.crc32(raw) & 0xFFFFFFFF)
-        )
-    for comp in compressed:
-        out.write(comp)
-    return out.getvalue()
+    table = [
+        struct.pack("<BBQQI", layer, width, len(raw), len(comp), zlib.crc32(raw) & 0xFFFFFFFF)
+        for layer, (raw, comp, width) in enumerate(zip(chunks, compressed, widths))
+    ]
+    return b"".join(header + table + compressed)
 
 
 def _parse_header(data: bytes):
@@ -331,8 +258,10 @@ def _parse_header(data: bytes):
     off = 16
     for fam in QUANT_FAMILIES:
         (quant[fam],) = struct.unpack_from("<d", data, off)
-        if not 0 < quant[fam] < math.inf:
-            raise FormatError(f"quantization step for {fam!r} is {quant[fam]!r}; it must be positive and finite")
+        if not _usable_quant_step(quant[fam]):
+            raise FormatError(
+                f"quantization step for {fam!r} is {quant[fam]!r}; it must be positive and finite, also times 2**31"
+            )
         off += 8
     (chunk_count,) = struct.unpack_from("<B", data, off)
     off += 1
@@ -382,14 +311,29 @@ def manifest(data: bytes) -> LayerManifest:
     return LayerManifest(header_bytes=h["header_bytes"], chunks=tuple(present))
 
 
-def _read_base_records(buf: io.BytesIO, n: int, width: int, dim: int, fdim: int, q: dict):
-    pos = _unpack_ints(buf, n * dim, width).reshape(n, dim) * q["position"]
-    feat = _unpack_ints(buf, n * fdim, width).reshape(n, fdim) * q["feature"]
-    scale = _unpack_ints(buf, n, width) * q["scale"]
-    off = _unpack_ints(buf, n * dim, width).reshape(n, dim) * q["offset"]
-    opac = _unpack_f32(buf, n)
-    col = _unpack_f32(buf, n * 3).reshape(n, 3)
-    return pos, feat, scale, off, opac, col
+class _Reader:
+    """Consecutive little-endian arrays of one decompressed chunk payload."""
+
+    def __init__(self, raw: bytes, width: int):
+        self.raw = raw
+        self.offset = 0
+        self.ints = f"<i{width}"  # the chunk's signed quantization indices
+
+    def take(self, dtype: str, *shape: int) -> np.ndarray:
+        """The next ``shape``-shaped array of ``dtype``; FormatError past the payload's end."""
+        dtype = np.dtype(dtype)
+        count = math.prod(shape)
+        end = self.offset + count * dtype.itemsize
+        if end > len(self.raw):
+            raise FormatError("chunk payload ends mid-array")
+        out = np.frombuffer(self.raw, dtype, count, self.offset).reshape(shape)
+        self.offset = end
+        return out
+
+
+def _check_indices(idx: np.ndarray, bound: int, what: str) -> None:
+    if idx.size and (idx[-1] >= bound or np.any(idx[1:] <= idx[:-1])):
+        raise FormatError(f"{what} must ascend strictly and stay below {bound}")
 
 
 def decode_prefix(data: bytes) -> DecodedPrefix:
@@ -423,121 +367,64 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
     if not payloads:
         raise TruncatedStreamError("no complete base-layer chunk in the stream")
 
-    # --- base chunk
-    info0, raw0 = payloads[0]
-    buf = io.BytesIO(raw0)
-    n0 = int(_unpack_u32(buf, 1)[0])
-    base_idx = _unpack_u32(buf, n0)
-    pos, feat, scale, off, opac, col = _read_base_records(buf, n0, info0.index_width, dim, fdim, q)
-    mask0 = _unpack_ints(buf, n0, info0.index_width) * q["mask"]
-
-    records: dict[int, tuple] = {
-        int(v): (pos[i], feat[i], scale[i], off[i], opac[i], col[i]) for i, v in enumerate(base_idx)
-    }
-    level_masks: dict[int, dict[int, float]] = {0: {}, 1: {}, 2: {}}
-    for i, v in enumerate(base_idx):
-        level_masks[0][int(v)] = float(mask0[i])
-
+    table_shapes = {0: [], 1: [(dim,), (fdim,)], 2: [(dim,), (), (), (3,)]}
+    carried, records, level_rows = [], [], []
     timesteps = None
-    global_rows: dict[int, tuple] = {}
-    local_rows: dict[int, tuple] = {}
-
-    for info, raw in payloads[1:]:
+    for info, raw in payloads:
         level = info.layer
-        buf = io.BytesIO(raw)
+        r = _Reader(raw, info.index_width)
         if level == 1:
-            ts_raw = buf.read(step_count * 8)
-            if len(ts_raw) != step_count * 8:
-                raise FormatError("layer 1 chunk ends inside the timestep array")
-            timesteps = np.frombuffer(ts_raw, dtype="<f8").copy()
-        counts = _unpack_u32(buf, 2)
-        n_shared, n_supp = int(counts[0]), int(counts[1])
-        refs = _unpack_u32(buf, n_shared)
-        supp_idx = _unpack_u32(buf, n_supp)
-        if np.any(refs >= n0):
-            raise FormatError(f"layer {level} references a base record that does not exist")
-        s_pos, s_feat, s_scale, s_off, s_opac, s_col = _read_base_records(
-            buf, n_supp, info.index_width, dim, fdim, q
-        )
-        for i, v in enumerate(supp_idx):
-            records.setdefault(int(v), (s_pos[i], s_feat[i], s_scale[i], s_off[i], s_opac[i], s_col[i]))
-        members = np.concatenate([base_idx[refs], supp_idx])
-        order = np.argsort(members, kind="stable")
-        members = members[order]
-        n_level = members.size
-        masks = _unpack_ints(buf, n_level, info.index_width) * q["mask"]
-        for i, v in enumerate(members):
-            level_masks[level][int(v)] = float(masks[i])
-        if level == 1:
-            disp = _unpack_ints(buf, step_count * n_level * dim, info.index_width)
-            disp = disp.reshape(step_count, n_level, dim) * q["deform"]
-            fres = _unpack_ints(buf, step_count * n_level * fdim, info.index_width)
-            fres = fres.reshape(step_count, n_level, fdim) * q["deform"]
-            for i, v in enumerate(members):
-                global_rows[int(v)] = (disp[:, i, :], fres[:, i, :])
+            timesteps = r.take("<f8", step_count)
+        if level == 0:
+            n_shared, n_supp = 0, int(r.take("<u4", 1)[0])
         else:
-            dmu = _unpack_ints(buf, step_count * n_level * dim, info.index_width)
-            dmu = dmu.reshape(step_count, n_level, dim) * q["deform"]
-            dsc = _unpack_ints(buf, step_count * n_level, info.index_width).reshape(step_count, n_level)
-            dsc = dsc * q["deform"]
-            dop = _unpack_ints(buf, step_count * n_level, info.index_width).reshape(step_count, n_level)
-            dop = dop * q["deform"]
-            dcol = _unpack_ints(buf, step_count * n_level * 3, info.index_width)
-            dcol = dcol.reshape(step_count, n_level, 3) * q["deform"]
-            for i, v in enumerate(members):
-                local_rows[int(v)] = (dmu[:, i, :], dsc[:, i], dop[:, i], dcol[:, i, :])
+            n_shared, n_supp = (int(c) for c in r.take("<u4", 2))
+        refs = r.take("<u4", n_shared).astype(np.int64)
+        supp = r.take("<u4", n_supp).astype(np.int64)
+        _check_indices(supp, h["count"], f"layer {level} anchor indices")
+        if level == 0:
+            base = supp
+        else:
+            _check_indices(refs, base.size, f"layer {level} refs")
+            if np.any(np.isin(supp, base)):
+                raise FormatError(f"layer {level} supplements an anchor that layer 0 carries")
+        carried.append(supp)
+        block = (
+            r.take(r.ints, n_supp, dim) * q["position"],
+            r.take(r.ints, n_supp, fdim) * q["feature"],
+            r.take(r.ints, n_supp) * q["scale"],
+            r.take(r.ints, n_supp, dim) * q["offset"],
+            r.take("<f4", n_supp),
+            r.take("<f4", n_supp, 3),
+        )
+        records.append(block)
+        members = np.sort(np.concatenate([base[refs], supp]))
+        masks = r.take(r.ints, members.size) * q["mask"]
+        tables = [r.take(r.ints, step_count, members.size, *s) * q["deform"] for s in table_shapes[level]]
+        level_rows.append((members, masks, tables))
 
-    max_level = payloads[-1][0].layer
-    union = np.array(sorted(records), dtype=np.int64)
+    # the union in ascending order; a repeated supplemental record keeps its first copy
+    union, first = np.unique(np.concatenate(carried), return_index=True)
     n = union.size
-    arrays = {
-        "positions": np.stack([records[v][0] for v in union]),
-        "features": np.stack([records[v][1] for v in union]),
-        "scales": np.array([records[v][2] for v in union]),
-        "offsets": np.stack([records[v][3] for v in union]),
-        "opacities": np.array([records[v][4] for v in union]),
-        "colors": np.stack([records[v][5] for v in union]),
-    }
-    anchors = AnchorSet(**arrays)
-
-    bank_levels = []
-    for level in range(3):
-        m = np.zeros(n)
-        for i, v in enumerate(union):
-            m[i] = level_masks[level].get(int(v), 0.0)
-        bank_levels.append(m)
-    bank = MaskBank(levels=tuple(bank_levels))
-
-    deformations = None
+    max_level = payloads[-1][0].layer
+    bank_levels = [np.zeros(n) for _ in range(3)]
+    full_tables = {}
     if max_level >= 1:
-        disp = np.zeros((step_count, n, dim))
-        fres = np.zeros((step_count, n, fdim))
-        for i, v in enumerate(union):
-            row = global_rows.get(int(v))
-            if row is not None:
-                disp[:, i, :], fres[:, i, :] = row
-        local = LocalResiduals(
-            d_position=np.zeros((step_count, n, dim)),
-            d_scale=np.zeros((step_count, n)),
-            d_opacity=np.zeros((step_count, n)),
-            d_color=np.zeros((step_count, n, 3)),
-        )
-        if max_level == 2:
-            dmu = np.zeros((step_count, n, dim))
-            dsc = np.zeros((step_count, n))
-            dop = np.zeros((step_count, n))
-            dcol = np.zeros((step_count, n, 3))
-            for i, v in enumerate(union):
-                row = local_rows.get(int(v))
-                if row is not None:
-                    dmu[:, i, :], dsc[:, i], dop[:, i], dcol[:, i, :] = row
-            local = LocalResiduals(d_position=dmu, d_scale=dsc, d_opacity=dop, d_color=dcol)
-        deformations = DeformationTable(
-            timesteps=timesteps,
-            displacements=disp,
-            feature_residuals=fres,
-            local=local,
-        )
+        full_tables = {lvl: [np.zeros((step_count, n, *s)) for s in table_shapes[lvl]] for lvl in (1, 2)}
+    for level, (members, masks, tables) in enumerate(level_rows):
+        at = np.searchsorted(union, members)
+        bank_levels[level][at] = masks
+        for full, rows in zip(full_tables.get(level, ()), tables):
+            full[:, at] = rows
+
+    try:
+        anchors = AnchorSet(*(np.concatenate(field)[first] for field in zip(*records)))
+        bank = MaskBank(levels=tuple(bank_levels))
+        deformations = None
+        if max_level >= 1:
+            deformations = DeformationTable(timesteps, *full_tables[1], LocalResiduals(*full_tables[2]))
+    except ValueError as exc:
+        raise FormatError(f"decoded asset is invalid: {exc}") from exc
 
     return DecodedPrefix(
         max_level=max_level,

@@ -147,24 +147,6 @@ def family_priors(
     }
 
 
-def quantize(a: float, quant_step: float) -> tuple[int, float]:
-    """Quantize a value to (index, reconstruction) on a uniform grid.
-
-    Rounds half away from zero; the reconstruction ``index * quant_step``
-    always lies within half a step of the input. Indices must fit a signed
-    32-bit integer.
-    """
-    if not quant_step > 0:
-        raise ValueError("quantization step must be strictly positive")
-    scaled = float(a) / float(quant_step)
-    index = int(math.floor(abs(scaled) + 0.5))
-    if scaled < 0:
-        index = -index
-    if not (-(2**31) <= index < 2**31):
-        raise OverflowError(f"quantization index {index} exceeds signed 32-bit range")
-    return index, index * float(quant_step)
-
-
 def quantize_array(values: np.ndarray, quant_step: float) -> np.ndarray:
     """Vectorized quantization indices (half away from zero), int64 output."""
     if not quant_step > 0:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from pd4g.asset import (
     MissingLayerError,
     activation_rate,
     active_set,
-    gate_attributes,
     route_level,
 )
 
@@ -74,64 +75,18 @@ class TestAnchorSet:
                 colors=a.colors,
             )
 
+    @pytest.mark.parametrize("field", ["scales", "opacities", "colors"])
+    def test_rejects_nan_attribute(self, field):
+        a = make_anchors()
+        values = getattr(a, field).copy()
+        values[1] = np.nan
+        with pytest.raises(ValueError):
+            replace(a, **{field: values})
+
     def test_arrays_are_immutable(self):
         a = make_anchors()
         with pytest.raises(ValueError):
             a.positions[0, 0] = 5.0
-
-
-class TestGateAttributes:
-    def test_all_ones_is_identity(self):
-        a = make_anchors()
-        g = gate_attributes(a, np.ones(a.count))
-        assert np.array_equal(g.opacities, a.opacities)
-        assert np.array_equal(g.scales, a.scales)
-
-    def test_all_zeros_annihilates(self):
-        a = make_anchors()
-        g = gate_attributes(a, np.zeros(a.count))
-        assert np.all(g.opacities == 0)
-        assert np.all(g.scales == 0)
-
-    def test_single_anchor_example(self):
-        a = AnchorSet(
-            positions=[[0.5, 0.5]],
-            features=[[0.0]],
-            scales=[2.0],
-            offsets=[[0.0, 0.0]],
-            opacities=[0.8],
-            colors=[[1.0, 1.0, 1.0]],
-        )
-        g = gate_attributes(a, np.array([0.5]))
-        assert g.opacities[0] == pytest.approx(0.4)
-        assert g.scales[0] == pytest.approx(1.0)
-
-    def test_input_unmodified_and_passthrough(self):
-        a = make_anchors()
-        before = a.opacities.copy()
-        g = gate_attributes(a, np.full(a.count, 0.3))
-        assert np.array_equal(a.opacities, before)
-        assert np.array_equal(g.positions, a.positions)
-        assert np.array_equal(g.features, a.features)
-        assert np.array_equal(g.colors, a.colors)
-
-    def test_length_mismatch(self):
-        a = make_anchors()
-        with pytest.raises(ValueError):
-            gate_attributes(a, np.ones(a.count + 1))
-
-    @settings(deadline=None, max_examples=30)
-    @given(
-        m1=st.lists(st.floats(0, 1), min_size=4, max_size=4),
-        m2=st.lists(st.floats(0, 1), min_size=4, max_size=4),
-    )
-    def test_gating_composes_multiplicatively(self, m1, m2):
-        a = make_anchors(count=4)
-        m1, m2 = np.array(m1), np.array(m2)
-        twice = gate_attributes(gate_attributes(a, m1), m2)
-        once = gate_attributes(a, np.clip(m1 * m2, 0, 1))
-        np.testing.assert_allclose(twice.opacities, once.opacities, atol=1e-12)
-        np.testing.assert_allclose(twice.scales, once.scales, atol=1e-12)
 
 
 class TestActiveSet:
@@ -294,6 +249,12 @@ class TestDeformationTable:
                     d_color=np.zeros((2, a.count, 3)),
                 ),
             )
+
+    @pytest.mark.parametrize("times", [[np.nan], [0.2, np.nan], [np.nan, 0.2]])
+    def test_rejects_nan_timestep(self, times):
+        table = make_table(make_anchors(), steps=len(times))
+        with pytest.raises(ValueError, match="timesteps"):
+            replace(table, timesteps=np.array(times))
 
     def test_nearest_index(self):
         a = make_anchors()

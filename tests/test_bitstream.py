@@ -1,4 +1,7 @@
+import hashlib
+import lzma
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -6,6 +9,8 @@ import pytest
 from pd4g.acceptance import expected_reconstruction, random_asset
 from pd4g.asset import MaskBank
 from pd4g.bitstream import (
+    CHUNK_ENTRY_SIZE,
+    HEADER_BASE_SIZE,
     EmptyBaseLayerError,
     EncodeConfig,
     FormatError,
@@ -35,10 +40,30 @@ class TestEncode:
         with pytest.raises(EmptyBaseLayerError):
             encode(anchors, bank, table)
 
-    @pytest.mark.parametrize("step", [0.0, -0.5, float("inf"), float("nan")])
+    @pytest.mark.parametrize("step", [0.0, -0.5, float("inf"), float("nan"), 1.7e308])
     def test_config_rejects_steps_the_decoder_would(self, step):
         with pytest.raises(ValueError, match="positive and finite"):
             EncodeConfig(quant_steps={**DEFAULT_QUANT_STEPS, "scale": step})
+
+    # sha256 of the container bytes, recorded when the encoder was rewritten
+    # around index arithmetic: a given asset and config always encode the same
+    @pytest.mark.parametrize(
+        "source, digest",
+        [
+            (3, "e99de9bb7a46d61109e5cc240312e5d580ea7039468ad60d1fd0187111616e4e"),
+            (7, "646e3031a03f8decaa790a07ffab9ec78bf0551e7de4aa841d4edc5b066b82c5"),
+            (11, "b347234450b44a219aaa59ebb97bc7cb548147a7b403d6b6574ba974f4af80e3"),
+            ("motion-dense", "66c7f3d84759858f37269885d134d097570b37ce332e3adb31a3cf8fc2c35544"),
+        ],
+    )
+    def test_container_bytes_are_pinned(self, source, digest):
+        if source == "motion-dense":
+            scene = make_scene("motion-dense", 40, 4, seed=5, image_size=(16, 16))
+            bank = MaskBank(levels=tuple(np.random.default_rng(5).uniform(0, 1, (3, 40))))
+            blob = encode(scene.anchors, bank, scene.deformations)
+        else:
+            blob = encode(*random_asset(np.random.default_rng(source)))
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_zero_tables_still_emit_all_chunks(self):
         scene = make_scene("static", 12, 2, seed=1, image_size=(12, 12))
@@ -153,7 +178,7 @@ class TestDecodePrefix:
         with pytest.raises(FormatError, match="dimension"):
             decode_prefix(bytes(blob))
 
-    @pytest.mark.parametrize("step", [-1.0 / 16.0, 0.0, float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("step", [-1.0 / 16.0, 0.0, float("inf"), float("-inf"), float("nan"), 1.7e308])
     def test_bad_quant_step_rejected(self, asset, step):
         blob = bytearray(encode(*asset))
         struct.pack_into("<d", blob, 16 + 8 * 2, step)  # the scale family's step
@@ -192,6 +217,77 @@ class TestDecodePrefix:
                 np.flatnonzero(decoded.bank.level(level) > decoded.bank.threshold)
             ]
             assert np.array_equal(decoded_active, original_active)
+
+
+def _layout_container() -> bytes:
+    """Eight anchors (D=2, F=2, T=2) whose payloads have the offsets in ``MALFORMED``.
+
+    Layer 0 carries anchors 0-3; layer 1 refers to 0 and 1 and supplements
+    4 and 5; layer 2 refers to 0 and 2 and supplements 4, 6 and 7.
+    """
+    scene = make_scene("motion-dense", 8, 2, seed=1, image_size=(8, 8), feature_dim=2)
+    bank = MaskBank(
+        levels=(
+            np.array([1, 1, 1, 1, 0, 0, 0, 0.0]),
+            np.array([1, 1, 0, 0, 1, 1, 0, 0.0]),
+            np.array([1, 0, 1, 0, 1, 0, 1, 1.0]),
+        )
+    )
+    blob = encode(scene.anchors, bank, scene.deformations)
+    assert [c.index_width for c in manifest(blob).chunks] == [2, 2, 2]
+    return blob
+
+
+def _rewrite_chunk(blob: bytes, layer: int, offset: int, fmt: str, *values) -> bytes:
+    """Patch one chunk's decompressed payload, then recompress it and fix its table entry."""
+    man = manifest(blob)
+    bounds = (man.header_bytes, *man.cumulative_sizes)
+    raw = bytearray(lzma.decompress(blob[bounds[layer] : bounds[layer + 1]]))
+    struct.pack_into(fmt, raw, offset, *values)
+    comp = lzma.compress(bytes(raw), preset=6)
+    out = bytearray(blob[: bounds[layer]] + comp + blob[bounds[layer + 1] :])
+    entry = HEADER_BASE_SIZE + CHUNK_ENTRY_SIZE * layer
+    struct.pack_into("<QQI", out, entry + 2, len(raw), len(comp), zlib.crc32(raw))
+    return bytes(out)
+
+
+# Byte offsets in the layout container's decompressed payloads (FORMAT.md):
+# layer 0 is n0 (u32), 4 indices (u32), then 2-byte positions (8), features
+# (8), scales (4) and offsets (8), then f32 opacities; layer 1 starts with 2
+# f64 timesteps, then the two counts, 2 refs and 2 supplemental indices;
+# layer 2 starts with the counts, 2 refs and 3 supplemental indices.
+_INDICES_0 = 4
+_SCALES_0 = _INDICES_0 + 4 * 4 + 2 * (8 + 8)
+_OPACITIES_0 = _SCALES_0 + 2 * (4 + 8)
+_SUPP_1 = 16 + 8 + 2 * 4
+_REFS_2, _SUPP_2 = 8, 8 + 2 * 4
+
+MALFORMED = {
+    "base index beyond anchor count": (0, _INDICES_0 + 3 * 4, "<I", 10**6),
+    "duplicated base index": (0, _INDICES_0 + 2 * 4, "<I", 1),
+    "supplemental index beyond anchor count": (2, _SUPP_2 + 2 * 4, "<I", 10**6),
+    "supplemental indices out of order": (1, _SUPP_1, "<2I", 5, 4),
+    "supplemental index also in layer 0": (1, _SUPP_1, "<I", 3),
+    "refs out of order": (2, _REFS_2, "<2I", 2, 0),
+    "opacity 2.0": (0, _OPACITIES_0, "<f", 2.0),
+    "NaN opacity": (0, _OPACITIES_0 + 4, "<f", float("nan")),
+    "negative scale index": (0, _SCALES_0, "<h", -1),
+    "reversed timesteps": (1, 0, "<2d", 1.0, 0.0),
+    "NaN timestep": (1, 8, "<d", float("nan")),
+}
+
+
+class TestMalformedPayload:
+    def test_layout_container_decodes(self):
+        decoded = decode_prefix(_layout_container())
+        assert decoded.anchor_indices.tolist() == list(range(8))
+        assert decoded.deformations.timesteps.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejected_as_format_error(self, case):
+        blob = _rewrite_chunk(_layout_container(), *MALFORMED[case])
+        with pytest.raises(FormatError):
+            decode_prefix(blob)
 
 
 class TestPrefixProperty:
