@@ -21,6 +21,11 @@ from .asset import AnchorSet, MaskBank
 STD_FLOOR = 1e-6
 MASS_CLAMP = 1e-6
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+# Intervals whose half-width * (|midpoint| + 1) is at most _NARROW, both in
+# units of sqrt(2) standard deviations, are integrated by 4-point quadrature.
+_NARROW = 0.03
+_GL_PAIRS = tuple(zip(*(a[2:] for a in np.polynomial.legendre.leggauss(4))))
 
 
 class InsufficientDataError(ValueError):
@@ -60,20 +65,36 @@ def estimate_prior(values: np.ndarray, active: np.ndarray, quant_step: float) ->
     return AttributePrior(mean=mean, std=std, quant_step=float(quant_step))
 
 
-def _interval_mass(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Standard-normal mass of [lo, hi] with full relative accuracy in the tails.
+def _interval_mass(mid: np.ndarray, half: float) -> np.ndarray:
+    """Standard-normal mass of [mid - half, mid + half] with full relative accuracy.
 
-    A plain CDF difference loses all precision once both endpoints sit in
-    the same far tail; switching to complementary-error-function differences
-    on the dominant side keeps the relative error near machine epsilon,
-    which the bit-cost tolerance requires.
+    A difference of two CDF values loses relative precision in proportion
+    to the size of the values it cancels, which ruins narrow intervals and
+    far tails alike. The interval is taken by midpoint and half-width, so a
+    narrow one keeps its width exact, and mirrored onto the right
+    half-line. Narrow intervals are integrated by Gauss-Legendre
+    quadrature, which cancels nothing; wide ones take the error-function or
+    complementary-error-function difference that cancels the smaller pair.
+    Either way the relative error stays near machine epsilon, which the
+    bit-cost tolerance requires. Rounding may leave the result a few ulps
+    outside [0, 1]; ``bit_cost`` clamps it.
     """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    right = special.erfc(lo * _INV_SQRT2) - special.erfc(hi * _INV_SQRT2)
-    left = special.erfc(-hi * _INV_SQRT2) - special.erfc(-lo * _INV_SQRT2)
-    mass = 0.5 * np.where(lo + hi >= 0, right, left)
-    return np.clip(mass, 0.0, 1.0)
+    mid = np.abs(mid) * _INV_SQRT2
+    half = half * _INV_SQRT2
+    lo, hi = mid - half, mid + half
+    erf_hi = special.erf(hi)
+    erfc_lo = special.erfc(lo)
+    mass = 0.5 * np.where(erf_hi <= erfc_lo, erf_hi - special.erf(lo), erfc_lo - special.erfc(hi))
+    if half > _NARROW:
+        return mass
+    # Gauss-Legendre nodes come in pairs +-x with one weight w, and
+    # exp(-(m + hx)^2) + exp(-(m - hx)^2) = 2 exp(-m^2 - h^2 x^2) cosh(2 m h x):
+    # a sum of positive terms. The caps keep cosh and the square finite on
+    # intervals whose quadrature is discarded or underflows to 0 anyway.
+    mh = np.minimum(mid * half, _NARROW)
+    pairs = sum(2.0 * w * math.exp(-((half * x) ** 2)) * np.cosh((2.0 * x) * mh) for x, w in _GL_PAIRS)
+    quad = _INV_SQRT_PI * half * np.exp(-np.square(np.minimum(mid, 64.0))) * pairs
+    return np.where(half * (mid + 1.0) <= _NARROW, quad, mass)
 
 
 def bit_cost(a, prior: AttributePrior):
@@ -84,11 +105,9 @@ def bit_cost(a, prior: AttributePrior):
     cost stays finite deep in the tails. Accepts scalars or arrays.
     """
     a = np.asarray(a, dtype=np.float64)
-    centered = np.abs(a - prior.mean)  # cost is symmetric about the mean; fold for exactness
-    half = 0.5 * prior.quant_step
-    lo = (centered - half) / prior.std
-    hi = (centered + half) / prior.std
-    mass = np.maximum(_interval_mass(lo, hi), MASS_CLAMP)
+    mid = (a - prior.mean) / prior.std
+    half = 0.5 * prior.quant_step / prior.std
+    mass = np.maximum(_interval_mass(mid, half), MASS_CLAMP)
     cost = np.maximum(-np.log2(mass), 0.0)
     if np.isscalar(a) or a.ndim == 0:
         return float(cost)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pd4g.asset import AnchorSet, MaskBank
@@ -64,6 +64,7 @@ class TestBitCost:
             assert bit_cost(0.7 + d, p) == pytest.approx(bit_cost(0.7 - d, p), abs=1e-9)
 
     @settings(deadline=None, max_examples=60)
+    @example(d1=0.0, d2=2.0019170595277396e-10, sigma=6.0, q=0.001)  # flat cost at the mean
     @given(
         d1=st.floats(0, 6),
         d2=st.floats(0, 6),
