@@ -401,6 +401,8 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
         members = np.sort(np.concatenate([base[refs], supp]))
         masks = r.take(r.ints, members.size) * q["mask"]
         tables = [r.take(r.ints, step_count, members.size, *s) * q["deform"] for s in table_shapes[level]]
+        if r.offset != len(raw):
+            raise FormatError(f"layer {level} chunk payload has bytes after its last array")
         level_rows.append((members, masks, tables))
 
     # the union in ascending order; a repeated supplemental record keeps its first copy

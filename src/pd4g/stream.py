@@ -1,22 +1,33 @@
 """Deterministic bandwidth-trace streaming simulator and ABR manifest emission.
 
-Byte arrival is integrated exactly over piecewise-constant traces using
-rational arithmetic, so layer-completion instants carry no time-stepping
-error. Sizes use decimal megabytes (1e6 bytes) and throughput decimal
-megabits per second, which makes the first-frame formula 8*S/B exact.
-The simulator models download only; decode and render time are out of scope.
+Byte arrival is integrated exactly: each trace carries its integral in
+integers at common denominators (segment start times, cumulative bytes at
+the end of each positive-rate segment, and its zero-rate runs), and
+``simulate`` places every layer completion by bisection over the cumulative
+bytes, so completion instants carry no time-stepping error and come out as
+exact ``Fraction``s. Sizes use decimal megabytes (1e6 bytes) and throughput
+decimal megabits per second, which makes the first-frame formula 8*S/B
+exact. The simulator models download only; decode and render time are out
+of scope.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from itertools import accumulate, groupby
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .bitstream import LayerManifest
 
 BYTES_PER_MB = 10**6
+BYTES_PER_MBIT = BYTES_PER_MB // 8
+MAX_EXPONENT = 1000  # largest decimal exponent magnitude a trace number may carry
 LAYER_DESCRIPTIONS = (
     "static scaffold",
     "static scaffold + global deformation",
@@ -32,6 +43,46 @@ class TraceParseError(ValueError):
         self.line_number = line_number
 
 
+def _number(value) -> Fraction:
+    """``Fraction(value)``, refusing a string whose decimal exponent exceeds ``MAX_EXPONENT``.
+
+    The check runs before ``Fraction`` builds the power of ten, which for
+    ``1e10000000`` takes seconds.
+    """
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        exponent = value.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        if exponent.isdecimal() and (len(exponent) > len(str(MAX_EXPONENT)) or int(exponent) > MAX_EXPONENT):
+            raise ValueError(f"decimal exponent beyond {MAX_EXPONENT} in {value!r}")
+    return Fraction(value)
+
+
+def _segment(duration, mbps) -> tuple[Fraction, Fraction]:
+    """One validated segment as exact (seconds, Mbps)."""
+    duration, mbps = _number(duration), _number(mbps)
+    if duration <= 0:
+        raise ValueError("segment durations must be positive")
+    if mbps < 0:
+        raise ValueError("throughput cannot be negative")
+    return duration, mbps
+
+
+class _Integral(NamedTuple):
+    """Byte arrival over a trace in integers at common denominators.
+
+    Time counts ticks of 1/D s, where D is the lcm of the duration
+    denominators; bytes count units of 1/(D*L) byte, where L is the lcm of
+    the Mbps denominators, so a rate of m Mbps is m*L*125000 units per tick.
+    """
+
+    ticks_per_s: int  # D
+    units_per_byte: int  # D*L
+    starts: list[int]  # tick at which each positive-rate segment starts
+    rates: list[int]  # its rate in units per tick
+    arrived: list[int]  # units received by its end, strictly increasing
+    runs_after: list[int]  # per maximal zero-rate run: positive-rate segments before it
+    stalls: list[tuple[StreamEvent, StreamEvent]]  # per run: its stall-begin and stall-end
+
+
 @dataclass(frozen=True)
 class BandwidthTrace:
     """Piecewise-constant throughput timeline: (duration seconds, Mbps) segments."""
@@ -41,44 +92,73 @@ class BandwidthTrace:
     def __post_init__(self):
         if not self.segments:
             raise ValueError("trace requires at least one segment")
-        norm = []
-        for duration, mbps in self.segments:
-            duration = Fraction(duration)
-            mbps = Fraction(mbps)
-            if duration <= 0:
-                raise ValueError("segment durations must be positive")
-            if mbps < 0:
-                raise ValueError("throughput cannot be negative")
-            norm.append((duration, mbps))
-        object.__setattr__(self, "segments", tuple(norm))
+        object.__setattr__(self, "segments", tuple(_segment(d, m) for d, m in self.segments))
 
     @staticmethod
     def constant(mbps, duration=Fraction(10**9)) -> "BandwidthTrace":
-        return BandwidthTrace(segments=((Fraction(duration), Fraction(mbps)),))
+        return BandwidthTrace(segments=((duration, mbps),))
 
     @staticmethod
     def from_csv(text: str) -> "BandwidthTrace":
-        """Parse ``duration_s,mbps`` lines; '#' comments and blank lines ignored."""
+        """Parse ``duration_s,mbps`` lines; '#' comments and blank lines ignored.
+
+        Each number is a ``Fraction`` string (integer, decimal, exponent or
+        ``p/q`` form) whose decimal exponent is at most ``MAX_EXPONENT`` in
+        magnitude.
+        """
         segments = []
         for number, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue
-            parts = [p.strip() for p in body.split(",")]
+            parts = body.split(",")
             if len(parts) != 2:
                 raise TraceParseError(number, f"expected 'duration_s,mbps', got {line!r}")
             try:
-                duration, mbps = Fraction(parts[0]), Fraction(parts[1])
+                segments.append(_segment(*parts))
             except (ValueError, ZeroDivisionError) as exc:
-                raise TraceParseError(number, f"bad number in {line!r}: {exc}") from exc
-            if duration <= 0:
-                raise TraceParseError(number, "duration must be positive")
-            if mbps < 0:
-                raise TraceParseError(number, "throughput cannot be negative")
-            segments.append((duration, mbps))
+                raise TraceParseError(number, f"{exc} in {line!r}") from exc
         if not segments:
             raise TraceParseError(0, "trace file holds no segments")
-        return BandwidthTrace(segments=tuple(segments))
+        trace = object.__new__(BandwidthTrace)  # the segments are validated already
+        object.__setattr__(trace, "segments", tuple(segments))
+        return trace
+
+    @cached_property
+    def _integral(self) -> _Integral:
+        per_s = math.lcm(*(d.denominator for d, _ in self.segments))
+        per_mbps = math.lcm(*(m.denominator for _, m in self.segments))
+        ticks = [d.numerator * (per_s // d.denominator) for d, _ in self.segments]
+        rates = [m.numerator * (per_mbps // m.denominator) * BYTES_PER_MBIT for _, m in self.segments]
+        ends = list(accumulate(ticks))
+        positive = [i for i, rate in enumerate(rates) if rate]
+        arrived = list(accumulate(ticks[i] * rates[i] for i in positive))
+        units_per_byte = per_s * per_mbps
+
+        runs_after, stalls = [], []
+        for stalled, run in groupby(range(len(rates)), lambda i: not rates[i]):
+            if not stalled:
+                continue
+            run = list(run)
+            before = bisect_left(positive, run[0])
+            held = Fraction(arrived[before - 1] if before else 0, units_per_byte)
+            begin = Fraction(ends[run[0]] - ticks[run[0]], per_s)
+            runs_after.append(before)
+            stalls.append(
+                (
+                    StreamEvent(begin, "stall-begin", None, held),
+                    StreamEvent(Fraction(ends[run[-1]], per_s), "stall-end", None, held),
+                )
+            )
+        return _Integral(
+            ticks_per_s=per_s,
+            units_per_byte=units_per_byte,
+            starts=[ends[i] - ticks[i] for i in positive],
+            rates=[rates[i] for i in positive],
+            arrived=arrived,
+            runs_after=runs_after,
+            stalls=stalls,
+        )
 
 
 @dataclass(frozen=True)
@@ -131,11 +211,15 @@ def first_frame_latency(size_mb: float, bandwidth_mbps: float) -> float:
 
 def _cumulative_bytes(manifest_or_sizes) -> list[int]:
     if isinstance(manifest_or_sizes, LayerManifest):
-        sizes = list(manifest_or_sizes.cumulative_sizes)
-    else:
-        sizes = [int(s) for s in manifest_or_sizes]
+        manifest_or_sizes = manifest_or_sizes.cumulative_sizes
+    try:
+        sizes = [operator.index(s) for s in manifest_or_sizes]
+    except TypeError as exc:
+        raise ValueError(f"cumulative layer sizes must be integers: {exc}") from None
     if not sizes:
         raise ValueError("manifest must describe at least one layer")
+    if sizes[0] <= 0:
+        raise ValueError("the base layer must hold at least one byte")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("cumulative layer sizes must be strictly increasing")
     return sizes
@@ -145,64 +229,43 @@ def simulate(
     manifest: Union[LayerManifest, Sequence[int]],
     trace: BandwidthTrace,
 ) -> StreamTimeline:
-    """Integrate byte arrival over the trace and emit the layer-upgrade timeline.
+    """Place the layer-upgrade timeline on the trace's byte-arrival integral.
 
     ``manifest`` supplies cumulative prefix sizes in bytes (a LayerManifest
-    or a raw ascending sequence). A layer-complete event fires at the exact
-    instant its prefix finishes; zero-throughput intervals emit stall
-    begin/end events while the download is still incomplete. If the trace
-    ends before the base layer completes the result is an incomplete-stream
-    timeline (final level None), not an error.
+    or a raw ascending sequence of integers, the first positive). A
+    layer-complete event fires at the exact instant its prefix finishes;
+    zero-throughput runs emit stall begin/end events while the download is
+    still incomplete. If the trace ends before the base layer completes the
+    result is an incomplete-stream timeline (final level None), not an error.
     """
-    thresholds = [Fraction(s) for s in _cumulative_bytes(manifest)]
+    sizes = _cumulative_bytes(manifest)
+    g = trace._integral
     events: list[StreamEvent] = []
-    received = Fraction(0)
-    now = Fraction(0)
-    next_layer = 0
-    stalled = False
-    done = False
-
-    for duration, mbps in trace.segments:
-        if done:
+    completions: list[Fraction] = []
+    placed = 0  # zero-rate runs already in ``events``
+    for layer, size in enumerate(sizes):
+        target = size * g.units_per_byte
+        j = bisect_left(g.arrived, target)  # the positive-rate segment in which this prefix completes
+        if j == len(g.arrived):
             break
-        rate = mbps * BYTES_PER_MB / 8  # bytes per second, exact
-        if rate == 0:
-            if not stalled:
-                events.append(StreamEvent(now, "stall-begin", None, received))
-                stalled = True
-            now += duration
-            continue
-        if stalled:
-            events.append(StreamEvent(now, "stall-end", None, received))
-            stalled = False
-        seg_end = now + duration
-        while next_layer < len(thresholds):
-            reach = now + (thresholds[next_layer] - received) / rate
-            if reach > seg_end:
-                break
-            events.append(
-                StreamEvent(reach, "layer-complete", next_layer, thresholds[next_layer])
-            )
-            next_layer += 1
-        if next_layer >= len(thresholds):
-            done = True
-            received = thresholds[-1]
-            now = events[-1].time
-        else:
-            received += rate * duration
-            now = seg_end
+        before = bisect_right(g.runs_after, j)
+        events.extend(e for pair in g.stalls[placed:before] for e in pair)
+        placed = before
+        rate = g.rates[j]
+        missing = target - (g.arrived[j - 1] if j else 0)
+        completions.append(Fraction(g.starts[j] * rate + missing, g.ticks_per_s * rate))
+        events.append(StreamEvent(completions[-1], "layer-complete", layer, Fraction(size)))
 
-    if stalled and not done:
-        events.append(StreamEvent(now, "stall-end", None, received))
-
-    completions = [e for e in events if e.kind == "layer-complete"]
-    first = completions[0].time if completions else None
-    final = completions[-1].layer if completions else None
+    if len(completions) == len(sizes):
+        total = Fraction(sizes[-1])
+    else:
+        events.extend(e for pair in g.stalls[placed:] for e in pair)
+        total = Fraction(g.arrived[-1] if g.arrived else 0, g.units_per_byte)
     return StreamTimeline(
         events=tuple(events),
-        first_frame_time=first,
-        final_level=final,
-        total_bytes=received,
+        first_frame_time=completions[0] if completions else None,
+        final_level=len(completions) - 1 if completions else None,
+        total_bytes=total,
     )
 
 

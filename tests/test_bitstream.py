@@ -238,12 +238,13 @@ def _layout_container() -> bytes:
     return blob
 
 
-def _rewrite_chunk(blob: bytes, layer: int, offset: int, fmt: str, *values) -> bytes:
-    """Patch one chunk's decompressed payload, then recompress it and fix its table entry."""
+def _rewrite_chunk(blob: bytes, layer: int, offset: int, fmt: str, *values, tail: bytes = b"") -> bytes:
+    """Patch one chunk's decompressed payload and append ``tail``, then recompress it and fix its table entry."""
     man = manifest(blob)
     bounds = (man.header_bytes, *man.cumulative_sizes)
     raw = bytearray(lzma.decompress(blob[bounds[layer] : bounds[layer + 1]]))
     struct.pack_into(fmt, raw, offset, *values)
+    raw += tail
     comp = lzma.compress(bytes(raw), preset=6)
     out = bytearray(blob[: bounds[layer]] + comp + blob[bounds[layer + 1] :])
     entry = HEADER_BASE_SIZE + CHUNK_ENTRY_SIZE * layer
@@ -287,6 +288,12 @@ class TestMalformedPayload:
     def test_rejected_as_format_error(self, case):
         blob = _rewrite_chunk(_layout_container(), *MALFORMED[case])
         with pytest.raises(FormatError):
+            decode_prefix(blob)
+
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    def test_bytes_after_last_array_rejected(self, layer):
+        blob = _rewrite_chunk(_layout_container(), layer, 0, "", tail=b"\x00" * 3)
+        with pytest.raises(FormatError, match="after its last array"):
             decode_prefix(blob)
 
 

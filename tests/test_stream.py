@@ -1,8 +1,13 @@
 import json
+import math
+import time
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pd4g import bitstream
 from pd4g.acceptance import random_asset
@@ -15,6 +20,108 @@ from pd4g.stream import (
     latency_table_csv,
     simulate,
 )
+
+
+def _reference_simulate(sizes, trace):
+    """The segment walk the simulator replaced, kept as its reference.
+
+    Walks the trace one segment at a time in ``Fraction`` arithmetic and
+    returns (events as field tuples, first-frame time, final level, total
+    bytes).
+    """
+    thresholds = [Fraction(s) for s in sizes]
+    events = []
+    received = Fraction(0)
+    now = Fraction(0)
+    next_layer = 0
+    stalled = False
+    done = False
+    for duration, mbps in trace.segments:
+        if done:
+            break
+        rate = mbps * 10**6 / 8
+        if rate == 0:
+            if not stalled:
+                events.append((now, "stall-begin", None, received))
+                stalled = True
+            now += duration
+            continue
+        if stalled:
+            events.append((now, "stall-end", None, received))
+            stalled = False
+        seg_end = now + duration
+        while next_layer < len(thresholds):
+            reach = now + (thresholds[next_layer] - received) / rate
+            if reach > seg_end:
+                break
+            events.append((reach, "layer-complete", next_layer, thresholds[next_layer]))
+            next_layer += 1
+        if next_layer >= len(thresholds):
+            done = True
+            received = thresholds[-1]
+            now = events[-1][0]
+        else:
+            received += rate * duration
+            now = seg_end
+    if stalled and not done:
+        events.append((now, "stall-end", None, received))
+    completions = [e for e in events if e[1] == "layer-complete"]
+    first = completions[0][0] if completions else None
+    final = completions[-1][2] if completions else None
+    return events, first, final, received
+
+
+def _assert_matches_reference(sizes, trace):
+    timeline = simulate(sizes, trace)
+    events, first, final, total = _reference_simulate(sizes, trace)
+    assert len(timeline.events) == len(events)
+    for got, want in zip(timeline.events, events):
+        assert (got.time, got.kind, got.layer, got.bytes_received) == want
+        assert type(got.time) is Fraction and type(got.bytes_received) is Fraction
+    assert timeline.first_frame_time == first
+    assert timeline.final_level == final
+    assert timeline.total_bytes == total and type(timeline.total_bytes) is Fraction
+
+
+# quarter seconds at half-Mbps steps deliver whole bytes, so sizes can land on segment ends
+_DURATIONS = st.one_of(
+    st.integers(1, 120).map(lambda n: Fraction(n, 4)),
+    st.fractions(min_value=Fraction(1, 100), max_value=30, max_denominator=200),
+)
+_RATES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(1, 160).map(lambda n: Fraction(n, 2)),
+    st.fractions(min_value=Fraction(1, 10), max_value=80, max_denominator=20),
+)
+
+
+@st.composite
+def _streams(draw):
+    """A 1-12 segment trace (about a third of them zero-rate) and 1-3 ascending sizes.
+
+    Sizes are drawn from the floor and ceiling of the byte count at each
+    segment end (exact when that count is an integer) and from a range
+    reaching past the trace's total, which leaves some streams incomplete.
+    """
+    segments = draw(st.lists(st.tuples(_DURATIONS, _RATES), min_size=1, max_size=12))
+    ends = list(accumulate(d * m * 125_000 for d, m in segments))
+    near_ends = sorted({b for e in ends if e > 0 for b in (math.floor(e), math.ceil(e)) if b > 0})
+    anywhere = st.integers(1, 2 * math.ceil(ends[-1]) + 10)
+    pool = st.one_of(st.sampled_from(near_ends), anywhere) if near_ends else anywhere
+    sizes = draw(st.lists(pool, min_size=1, max_size=3, unique=True))
+    return BandwidthTrace(segments=tuple(segments)), sorted(sizes)
+
+
+def _benchmark_style_trace(seed: int) -> str:
+    """1000 segments: 0.05-0.25 s at 2-50 Mbps, 5% of them 0.5-2 s zero-rate collapses."""
+    rng = np.random.default_rng(seed)
+    lines = ["# seeded trace: duration_s,mbps"]
+    for _ in range(1000):
+        if rng.random() < 0.05:
+            lines.append(f"{rng.uniform(0.5, 2.0):.3f},0")
+        else:
+            lines.append(f"{rng.uniform(0.05, 0.25):.3f},{rng.uniform(2.0, 50.0):.1f}")
+    return "\n".join(lines) + "\n"
 
 
 class TestFirstFrameLatency:
@@ -103,6 +210,44 @@ class TestSimulate:
         split = simulate(self.SIZES, BandwidthTrace(segments=halved))
         assert base.events == split.events
 
+    def test_rejects_non_positive_base_size(self):
+        for sizes in ([-5000, 10], [0, 10]):
+            with pytest.raises(ValueError):
+                simulate(sizes, BandwidthTrace.constant(8))
+
+    def test_rejects_non_integral_sizes(self):
+        for sizes in ([1.7, 2.9], [Fraction(3, 2)], ["436000"]):
+            with pytest.raises(ValueError):
+                simulate(sizes, BandwidthTrace.constant(8))
+
+    def test_accepts_numpy_integer_sizes(self):
+        sizes = np.array(self.SIZES, dtype=np.int64)
+        assert simulate(sizes, BandwidthTrace.constant(2)).events == simulate(self.SIZES, BandwidthTrace.constant(2)).events
+
+    def test_completion_exactly_at_segment_end_precedes_the_stall(self):
+        trace = BandwidthTrace(segments=((Fraction(1), Fraction(8)), (Fraction(2), Fraction(0)), (Fraction(1), Fraction(8))))
+        timeline = simulate([1_000_000, 1_500_000], trace)
+        assert [(e.time, e.kind) for e in timeline.events] == [
+            (Fraction(1), "layer-complete"),
+            (Fraction(1), "stall-begin"),
+            (Fraction(3), "stall-end"),
+            (Fraction(7, 2), "layer-complete"),
+        ]
+        assert simulate([1_000_000], trace).events == timeline.events[:1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_streams())
+    def test_matches_segment_walk(self, stream):
+        trace, sizes = stream
+        _assert_matches_reference(sizes, trace)
+
+    @pytest.mark.parametrize("seed", [931, 7])
+    def test_matches_segment_walk_on_benchmark_style_trace(self, seed):
+        trace = BandwidthTrace.from_csv(_benchmark_style_trace(seed))
+        total = sum(d * m * 125_000 for d, m in trace.segments)
+        for sizes in ([436_000], [6_880_000], [232_400_000], [400_000, 1_100_000, 9_000_000], [math.floor(total) + 1]):
+            _assert_matches_reference(sizes, trace)
+
     def test_completion_time_non_increasing_in_bandwidth(self):
         previous = None
         for bw in (1, 2, 5, 20, 100):
@@ -128,6 +273,27 @@ class TestTraceParsing:
         assert err.value.line_number == 2
         with pytest.raises(TraceParseError):
             BandwidthTrace.from_csv("-1,8\n")
+
+    def test_exponent_bound(self):
+        for field in ("1e10000000", "1e1001", "1E-1001", "2.5e+0001001"):
+            started = time.perf_counter()
+            with pytest.raises(TraceParseError) as err:
+                BandwidthTrace.from_csv(f"1,8\n{field},8\n")
+            assert err.value.line_number == 2
+            assert time.perf_counter() - started < 1.0
+        with pytest.raises(TraceParseError):
+            BandwidthTrace.from_csv("1,1e-1001\n")
+        trace = BandwidthTrace.from_csv("1e300,8\n1e-1000,1e1000\n")
+        assert trace.segments == ((Fraction(10**300), Fraction(8)), (Fraction(1, 10**1000), Fraction(10**1000)))
+
+    def test_construction_and_parsing_validate_alike(self):
+        assert BandwidthTrace.from_csv("1.5,8\n2,0\n") == BandwidthTrace(segments=(("1.5", 8), (2, "0")))
+        with pytest.raises(ValueError):
+            BandwidthTrace(segments=((0, 8),))
+        with pytest.raises(ValueError):
+            BandwidthTrace(segments=((1, -1),))
+        with pytest.raises(ValueError):
+            BandwidthTrace(segments=(("1e10000000", 8),))
 
 
 class TestAbrManifest:
