@@ -1,28 +1,21 @@
 #!/usr/bin/env python3
 """Compare the learned activation rate across scene motion profiles.
 
-Trains matched-seed scenes of every kind and prints the final activation
-EMA, the resulting level-sampling distribution, and per-level quality,
-showing how motion demand shifts training budget toward deeper layers.
+Trains matched-seed scenes of every kind on the acceptance schedule and
+prints the final activation EMA, the resulting level-sampling distribution,
+and per-level quality, showing how motion demand shifts training budget
+toward deeper layers.
 """
 
 import numpy as np
 
-from pd4g import losses, rollout, toyscene
-
-SEEDS = (101, 102, 103)
+from pd4g import acceptance, toyscene
 
 if __name__ == "__main__":
-    schedule = rollout.RolloutConfig(sample_period=25, warmup_steps=400)
-    weights = losses.LossWeights()
     for kind in toyscene.SCENE_KINDS:
         emas, distributions, psnrs = [], [], []
-        for seed in SEEDS:
-            scene = toyscene.make_scene(kind, 64, 4, seed=seed, image_size=(32, 32))
-            _, report = toyscene.train_masks(
-                scene, weights, schedule, steps=4000, seed=11,
-                learning_rate=0.4, progressive_start=400,
-            )
+        for seed in acceptance.MOTION_SEEDS:
+            _, _, report = acceptance.trained(kind, seed)
             emas.append(report.final_activation_ema)
             distributions.append(report.final_distribution)
             psnrs.append(report.psnr_per_level)

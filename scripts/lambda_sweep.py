@@ -1,24 +1,20 @@
 #!/usr/bin/env python3
 """Sweep the base-layer rate weight and report how the base layer shrinks.
 
-Trains the same mixed scene under each rate weight, encodes the result,
-and tabulates active-anchor counts, base-chunk bytes, and base-layer PSNR.
+Trains the same mixed scene under each rate weight on the acceptance
+schedule (the setup of acceptance criterion 8), encodes the result, and
+tabulates active-anchor counts, base-chunk bytes, and base-layer PSNR.
 """
 
-from pd4g import bitstream, losses, rollout, toyscene
+from pd4g import acceptance, bitstream
 
 LAMBDAS = (0.00025, 0.01, 0.04)
-SEED = 201
 
 if __name__ == "__main__":
-    scene = toyscene.make_scene("mixed", 64, 4, seed=SEED, image_size=(32, 32))
-    schedule = rollout.RolloutConfig(sample_period=25, warmup_steps=400)
     print(f"{'rate weight':>12} {'active@0':>9} {'base bytes':>11} {'PSNR@0 (dB)':>12}")
     for lam in LAMBDAS:
-        weights = losses.LossWeights(lambda_layer=(lam, 0.01, 0.00025))
-        bank, report = toyscene.train_masks(
-            scene, weights, schedule, steps=6000, seed=11,
-            learning_rate=0.8, progressive_start=400,
+        scene, bank, report = acceptance.trained(
+            "mixed", acceptance.SWEEP_SEED, lambda_layer0=lam, steps=6000, learning_rate=0.8
         )
         blob = bitstream.encode(scene.anchors, bank, scene.deformations)
         manifest = bitstream.manifest(blob)

@@ -232,33 +232,29 @@ def _render_gradient_error(rng: np.random.Generator, level: int) -> float:
 
 
 def criterion_gradients(configs: int = 100) -> tuple[bool, str]:
-    """Closed-form render/rate/consistency gradients match central differences."""
+    """level_loss's rate/consistency gradients and the render gradient match central differences."""
     rng = np.random.default_rng(41)
     quant = dict(toyscene.DEFAULT_QUANT_STEPS)
+    # one term of level_loss at a time; the rate term's priors are refitted
+    # for every mask in the stencil, as training refits them every step
+    terms = {
+        "rate": losses.LossWeights(lambda_layer=(1.0, 0.0, 0.0), lambda_temporal=0.0),
+        "binary": losses.LossWeights(lambda_temporal=1.0, smooth_weight=0.0),
+        "smooth": losses.LossWeights(lambda_temporal=1.0, binary_weight=0.0),
+    }
     worst = {"rate": 0.0, "binary": 0.0, "smooth": 0.0, "render": 0.0}
     for _ in range(configs):
         anchors, mask, pairs = _random_gradient_fixture(rng)
 
-        def rate_of(m):
-            priors = entropy.family_priors(anchors, m > 0.01, quant)
-            return float(np.mean(m * entropy.per_anchor_bits(anchors, priors)))
+        def objective(term, m):
+            bits = None
+            if term == "rate":
+                bits = entropy.per_anchor_bits(anchors, entropy.family_priors(anchors, m > 0.01, quant))
+            return losses.level_loss(0.0, m, 0, terms[term], anchors.positions, pairs, bits)
 
-        priors = entropy.family_priors(anchors, mask > 0.01, quant)
-        worst["rate"] = max(
-            worst["rate"], _rel_err(entropy.layer_rate_gradient(anchors, priors), _fd_gradient(rate_of, mask))
-        )
-        worst["binary"] = max(
-            worst["binary"],
-            _rel_err(losses.binary_entropy_gradient(mask), _fd_gradient(losses.binary_entropy_loss, mask)),
-        )
-        tau = 0.1
-        worst["smooth"] = max(
-            worst["smooth"],
-            _rel_err(
-                losses.smoothness_gradient(mask, anchors.positions, pairs, tau),
-                _fd_gradient(lambda m: losses.smoothness_loss(m, anchors.positions, pairs, tau), mask),
-            ),
-        )
+        for term in terms:
+            fd = _fd_gradient(lambda m: objective(term, m).total, mask)
+            worst[term] = max(worst[term], _rel_err(objective(term, mask).grad, fd))
     render_configs = configs // 5  # cycling through levels 0, 1, 2
     for case in range(render_configs):
         worst["render"] = max(worst["render"], _render_gradient_error(rng, case % 3))

@@ -51,7 +51,7 @@ class EmptyBaseLayerError(ValueError):
     """Nothing survives the base-layer mask threshold; the asset is unstreamable."""
 
 
-def _usable_quant_step(step: float) -> bool:
+def usable_quant_step(step: float) -> bool:
     """Whether every 32-bit index, up to magnitude 2**31, reconstructs to a finite value."""
     return step > 0 and math.isfinite(step * 2**31)
 
@@ -68,7 +68,7 @@ class EncodeConfig:
         if missing:
             raise ValueError(f"missing quantization steps for families: {missing}")
         for fam in QUANT_FAMILIES:
-            if not _usable_quant_step(self.quant_steps[fam]):
+            if not usable_quant_step(self.quant_steps[fam]):
                 raise ValueError(f"quantization step for {fam!r} must be positive and finite, also times 2**31")
         if not (0 <= self.preset <= 9):
             raise ValueError("compressor preset must lie in 0..9")
@@ -258,7 +258,7 @@ def _parse_header(data: bytes):
     off = 16
     for fam in QUANT_FAMILIES:
         (quant[fam],) = struct.unpack_from("<d", data, off)
-        if not _usable_quant_step(quant[fam]):
+        if not usable_quant_step(quant[fam]):
             raise FormatError(
                 f"quantization step for {fam!r} is {quant[fam]!r}; it must be positive and finite, also times 2**31"
             )

@@ -180,9 +180,13 @@ def cmd_simulate(args) -> int:
         raise _CliError(EXIT_VALIDATION, f"malformed trace: {exc}") from exc
 
     timeline = stream.simulate(man, trace)
+    try:
+        timeline_json = timeline.to_json()
+    except ValueError as exc:
+        raise _CliError(EXIT_VALIDATION, f"timeline not representable: {exc}") from exc
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "timeline.json").write_text(timeline.to_json())
+    (out / "timeline.json").write_text(timeline_json)
     bandwidths = [2.0, 10.0, 50.0]
     rows = stream.latency_table([man], bandwidths, labels=[container.name])
     (out / "latency.csv").write_text(stream.latency_table_csv(rows, bandwidths))

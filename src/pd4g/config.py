@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .bitstream import usable_quant_step
 from .losses import LossWeights
 from .rollout import RolloutConfig
 from .toyscene import SCENE_KINDS
@@ -102,17 +103,11 @@ class RunConfig:
         ):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        for name in (
-            "tau_scene_units",
-            "quant_step_position",
-            "quant_step_feature",
-            "quant_step_scale",
-            "quant_step_offset",
-            "quant_step_mask",
-            "quant_step_deform",
-        ):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+        if not self.tau_scene_units > 0:
+            raise ConfigError("tau_scene_units must be positive")
+        for family, step in self.quant_steps().items():
+            if not usable_quant_step(step):
+                raise ConfigError(f"quant_step_{family} must be positive and finite, also times 2**31")
         if not (0 <= self.compressor_preset <= 9):
             raise ConfigError("compressor_preset must lie in 0..9")
         # delegate cross-field checks

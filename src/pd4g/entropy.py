@@ -5,7 +5,9 @@ single Gaussian prior fitted on the currently active anchors. The Shannon
 bit cost of a value is the negative log probability mass of its quantization
 interval under that prior, which tracks the output length of the
 general-purpose coder used at export closely enough to drive keep/drop
-decisions during optimization.
+decisions during optimization. ``per_anchor_bits`` is this module's output
+to training; the mask-weighted rate built from it lives in
+``losses.level_loss``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .asset import AnchorSet, MaskBank
+from .asset import AnchorSet
 
 STD_FLOOR = 1e-6
 MASS_CLAMP = 1e-6
@@ -124,26 +126,6 @@ def per_anchor_bits(anchors: AnchorSet, priors: dict[str, AttributePrior]) -> np
     bits = bits + bit_cost(anchors.scales, priors["scales"])
     bits = bits + np.sum(bit_cost(anchors.offsets, priors["offsets"]), axis=1)
     return bits
-
-
-def layer_rate(
-    bank: MaskBank,
-    level: int,
-    anchors: AnchorSet,
-    priors: dict[str, AttributePrior],
-) -> float:
-    """Mask-weighted mean per-anchor bit cost for one layer's mask."""
-    return float(np.mean(bank.level(level) * per_anchor_bits(anchors, priors)))
-
-
-def layer_rate_gradient(anchors: AnchorSet, priors: dict[str, AttributePrior]) -> np.ndarray:
-    """Gradient of the layer rate with respect to the layer's mask vector.
-
-    The rate is linear in the mask, so the gradient is the per-anchor bit
-    cost divided by the anchor count; priors are held fixed (they are
-    re-estimated per optimization step, not differentiated through).
-    """
-    return per_anchor_bits(anchors, priors) / anchors.count
 
 
 def family_priors(

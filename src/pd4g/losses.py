@@ -3,14 +3,17 @@
 The per-level training loss combines the render distortion, a rate term
 weighted by the level's sparsification strength, and a consistency
 regularizer (binary entropy + spatial smoothness) that herds mask values
-toward clean {0, 1} activation patterns shared by nearby anchors. The render
-gradient is supplied externally; everything else is differentiated here in
-closed form.
+toward clean {0, 1} activation patterns shared by nearby anchors.
+``level_loss`` is the one definition of that objective: training and the
+gradient acceptance check both call it. The render gradient is supplied
+externally; everything else is differentiated here in closed form, each
+term computing its value and gradient in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,65 +55,44 @@ class LossWeights:
             raise ValueError("term scales must be non-negative")
 
 
-def binary_entropy_loss(mask: np.ndarray) -> float:
-    """Mean Bernoulli entropy of the mask vector (bits).
+def binary_entropy(mask: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean Bernoulli entropy of the mask vector (bits) and its mask gradient.
 
     Maximal (1.0) at 0.5 and approximately zero at {0, 1}; minimizing it
     drives masks toward deterministic keep/drop decisions.
     """
     m = np.clip(np.asarray(mask, dtype=np.float64), MASK_EPS, 1.0 - MASK_EPS)
-    return float(-np.mean(m * np.log2(m) + (1.0 - m) * np.log2(1.0 - m)))
+    value = float(-np.mean(m * np.log2(m) + (1.0 - m) * np.log2(1.0 - m)))
+    return value, -np.log2(m / (1.0 - m)) / m.size
 
 
-def binary_entropy_gradient(mask: np.ndarray) -> np.ndarray:
-    """Gradient of ``binary_entropy_loss`` with respect to the mask vector."""
-    m = np.clip(np.asarray(mask, dtype=np.float64), MASK_EPS, 1.0 - MASK_EPS)
-    return -np.log2(m / (1.0 - m)) / m.size
-
-
-def smoothness_loss(
+def smoothness(
     mask: np.ndarray,
     positions: np.ndarray,
     pairs: np.ndarray,
     tau: float,
-) -> float:
-    """Distance-weighted mean mask disagreement over sampled anchor pairs.
+) -> tuple[float, np.ndarray]:
+    """Distance-weighted mean mask disagreement over sampled anchor pairs, and its mask subgradient.
 
     Pair weight decays as exp(-distance / tau), so only spatially adjacent
     anchors are pushed toward sharing an activation state.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if pairs.shape[0] == 0:
-        return 0.0
-    m = np.asarray(mask, dtype=np.float64)
-    x = np.asarray(positions, dtype=np.float64)
-    i, j = pairs[:, 0], pairs[:, 1]
-    dist = np.linalg.norm(x[i] - x[j], axis=1)
-    weights = np.exp(-dist / float(tau))
-    return float(np.mean(weights * np.abs(m[i] - m[j])))
-
-
-def smoothness_gradient(
-    mask: np.ndarray,
-    positions: np.ndarray,
-    pairs: np.ndarray,
-    tau: float,
-) -> np.ndarray:
-    """Subgradient of ``smoothness_loss`` with respect to the mask vector."""
     m = np.asarray(mask, dtype=np.float64)
     grad = np.zeros_like(m)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if pairs.shape[0] == 0:
-        return grad
+        return 0.0, grad
     x = np.asarray(positions, dtype=np.float64)
     i, j = pairs[:, 0], pairs[:, 1]
     dist = np.linalg.norm(x[i] - x[j], axis=1)
-    contrib = np.exp(-dist / float(tau)) * np.sign(m[i] - m[j]) / pairs.shape[0]
+    weights = np.exp(-dist / float(tau))
+    diff = m[i] - m[j]
+    contrib = weights * np.sign(diff) / pairs.shape[0]
     np.add.at(grad, i, contrib)
     np.add.at(grad, j, -contrib)
-    return grad
+    return float(np.mean(weights * np.abs(diff))), grad
 
 
 def sample_pairs(anchor_count: int, pair_count: int, rng_seed: int) -> np.ndarray:
@@ -137,40 +119,48 @@ def consistency_loss(
     weights: LossWeights,
 ) -> tuple[float, np.ndarray]:
     """Combined binary-entropy + smoothness term and its mask gradient."""
-    value = weights.binary_weight * binary_entropy_loss(mask) + weights.smooth_weight * smoothness_loss(
-        mask, positions, pairs, weights.tau
-    )
-    grad = weights.binary_weight * binary_entropy_gradient(mask) + weights.smooth_weight * smoothness_gradient(
-        mask, positions, pairs, weights.tau
-    )
+    binary_value, binary_grad = binary_entropy(mask)
+    smooth_value, smooth_grad = smoothness(mask, positions, pairs, weights.tau)
+    value = weights.binary_weight * binary_value + weights.smooth_weight * smooth_value
+    grad = weights.binary_weight * binary_grad + weights.smooth_weight * smooth_grad
     return value, grad
+
+
+class LevelLoss(NamedTuple):
+    """One level's loss: the total, the mask gradient of its non-render terms, and the two terms."""
+
+    total: float
+    grad: np.ndarray
+    rate: float
+    consistency: float
 
 
 def level_loss(
     render_loss: float,
-    rate: float,
     mask: np.ndarray,
     level: int,
     weights: LossWeights,
     positions: np.ndarray,
     pairs: np.ndarray,
-    per_anchor_bits: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, float]:
-    """One level's total loss, the mask gradient of its non-render terms, and its consistency term.
+    bits: np.ndarray | None,
+) -> LevelLoss:
+    """One level's objective: render distortion + weighted rate + weighted consistency.
 
-    ``mask`` is the sampled level's mask vector and ``rate`` its
-    already-computed mask-weighted bit cost. The gradient covers the rate and
-    consistency terms only; the caller differentiates the render loss through
-    its renderer and adds that. ``per_anchor_bits`` supplies the rate
-    gradient; a scalar rate alone cannot be differentiated per anchor, so
-    without it the rate term contributes value but no gradient.
+    ``mask`` is the sampled level's mask vector and ``bits`` the per-anchor
+    bit cost under the current priors (``entropy.per_anchor_bits``), or
+    None when the priors cannot be fitted; the rate ``mean(mask * bits)`` is
+    then 0. Priors are held fixed (refitted each step, not differentiated
+    through), so the rate is linear in the mask. The gradient covers the rate
+    and consistency terms only; the caller differentiates the render loss
+    through its renderer and adds that.
     """
     level = check_layer(level)
     mask = np.asarray(mask, dtype=np.float64)
     lam = weights.lambda_layer[level]
+    rate = 0.0 if bits is None else float(np.mean(mask * bits))
     tmc_value, tmc_grad = consistency_loss(mask, positions, pairs, weights)
-    total = float(render_loss) + lam * float(rate) + weights.lambda_temporal * tmc_value
+    total = float(render_loss) + lam * rate + weights.lambda_temporal * tmc_value
     grad = weights.lambda_temporal * tmc_grad
-    if per_anchor_bits is not None:
-        grad = grad + lam * np.asarray(per_anchor_bits, dtype=np.float64) / mask.size
-    return total, grad, tmc_value
+    if bits is not None:
+        grad = grad + lam * np.asarray(bits, dtype=np.float64) / mask.size
+    return LevelLoss(total, grad, rate, tmc_value)

@@ -16,23 +16,22 @@ import numpy as np
 from .seeds import counter_uniform
 
 _SUM_TOL = 1e-9
+UNIFORM_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)  # the schedule's fixed starting point
 
 
 @dataclass(frozen=True)
 class RolloutConfig:
     """Fixed scheduling constants, identical across scenes."""
 
-    uniform_weights: tuple[float, float, float] = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
     aggressive_weights: tuple[float, float, float] = (0.15, 0.30, 0.55)
     ema_alpha: float = 0.05
     sample_period: int = 200
     warmup_steps: int = 2000
 
     def __post_init__(self):
-        for dist in (self.uniform_weights, self.aggressive_weights):
-            arr = np.asarray(dist, dtype=np.float64)
-            if arr.shape != (3,) or np.any(arr < 0) or abs(float(arr.sum()) - 1.0) > _SUM_TOL:
-                raise ValueError(f"{dist} is not a valid 3-way distribution")
+        arr = np.asarray(self.aggressive_weights, dtype=np.float64)
+        if arr.shape != (3,) or np.any(arr < 0) or abs(float(arr.sum()) - 1.0) > _SUM_TOL:
+            raise ValueError(f"{self.aggressive_weights} is not a valid 3-way distribution")
         if not (0.0 < self.ema_alpha <= 1.0):
             raise ValueError("ema_alpha must lie in (0, 1]")
         if self.sample_period < 1:
@@ -65,7 +64,7 @@ def level_distribution(activation: float, config: RolloutConfig) -> np.ndarray:
     activation = float(activation)
     if not (0.0 <= activation <= 1.0):
         raise ValueError(f"activation rate must lie in [0, 1], got {activation}")
-    uniform = np.asarray(config.uniform_weights, dtype=np.float64)
+    uniform = np.asarray(UNIFORM_WEIGHTS, dtype=np.float64)
     aggressive = np.asarray(config.aggressive_weights, dtype=np.float64)
     return (1.0 - activation) * uniform + activation * aggressive
 
@@ -87,7 +86,7 @@ def current_distribution(state: RolloutState, config: RolloutConfig) -> np.ndarr
     starts from an informed value.
     """
     if state.step < config.warmup_steps:
-        return np.asarray(config.uniform_weights, dtype=np.float64)
+        return np.asarray(UNIFORM_WEIGHTS, dtype=np.float64)
     return level_distribution(state.activation_ema, config)
 
 

@@ -179,21 +179,33 @@ class StreamTimeline:
     total_bytes: Fraction
 
     def to_json(self) -> str:
+        """The timeline with exact values rounded to floats.
+
+        Raises ``ValueError`` naming the first field too large for a float.
+        """
+        first = self.first_frame_time
         payload = {
-            "first_frame_time_s": None if self.first_frame_time is None else float(self.first_frame_time),
+            "first_frame_time_s": None if first is None else _json_float(first, "first_frame_time_s"),
             "final_level": self.final_level,
-            "total_bytes": float(self.total_bytes),
+            "total_bytes": _json_float(self.total_bytes, "total_bytes"),
             "events": [
                 {
-                    "time_s": float(e.time),
+                    "time_s": _json_float(e.time, f"events[{i}].time_s"),
                     "kind": e.kind,
                     "layer": e.layer,
-                    "bytes_received": float(e.bytes_received),
+                    "bytes_received": _json_float(e.bytes_received, f"events[{i}].bytes_received"),
                 }
-                for e in self.events
+                for i, e in enumerate(self.events)
             ],
         }
         return json.dumps(payload, indent=2)
+
+
+def _json_float(value: Fraction, field: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"timeline field {field} is too large for a float") from None
 
 
 def first_frame_latency(size_mb: float, bandwidth_mbps: float) -> float:

@@ -384,7 +384,10 @@ def train_masks(
     Each step samples a forward level from the current capacity-weighted
     distribution and a random timestep, differentiates the L1 render loss
     through the splat in closed form, and from ``progressive_start`` on adds
-    the rate and consistency terms of ``losses.level_loss``. Masks follow
+    the rate and consistency terms of ``losses.level_loss``, which also
+    supplies the loss curve's rate and consistency columns. The entropy
+    priors behind the rate are refitted every such step on the level's
+    active anchors; with fewer than two active the rate is 0. Masks follow
     projected gradient descent onto [0, 1]. Every ``sample_period`` steps the
     activation rate is re-measured and folded into the scheduler's moving
     average.
@@ -434,12 +437,11 @@ def train_masks(
             if int(active.sum()) >= 2:
                 priors = entropy.family_priors(scene.anchors, active, quant_steps)
                 bits = entropy.per_anchor_bits(scene.anchors, priors)
-                rate = float(np.mean(mask * bits))
             pairs = losses.sample_pairs(
                 count, weights.pair_factor * count, derive_seed(seed, "pairs", step)
             )
-            total, extra, consistency = losses.level_loss(
-                render_loss, rate, mask, level, weights, positions, pairs, per_anchor_bits=bits
+            total, extra, rate, consistency = losses.level_loss(
+                render_loss, mask, level, weights, positions, pairs, bits
             )
             grad = grad + extra
         if not np.isfinite(total) or not np.all(np.isfinite(grad)):

@@ -69,6 +69,19 @@ class TestHarnessSanity:
         passed, details = acceptance.criterion_entropy_oracle(samples=120)
         assert not passed
 
+    def test_doubled_consistency_gradient_fails_the_gradient_check(self, monkeypatch):
+        # deliberate fault injection: criterion 4 must check the gradient that
+        # training uses, so a wrong consistency gradient inside level_loss fails it
+        consistency_loss = acceptance.losses.consistency_loss
+
+        def doubled(*args):
+            value, grad = consistency_loss(*args)
+            return value, 2.0 * grad
+
+        monkeypatch.setattr(acceptance.losses, "consistency_loss", doubled)
+        passed, details = acceptance.criterion_gradients(configs=10)
+        assert not passed
+
     def test_run_all_reports_wall_clock(self):
         results = acceptance.run_all(selected={1, 2, 11})
         assert [r.index for r in results] == [1, 2, 11]

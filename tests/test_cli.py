@@ -124,6 +124,15 @@ class TestSimulate:
         assert code == EXIT_OK
         assert "incomplete" in capsys.readouterr().out
 
+    def test_timeline_too_large_for_json_is_validation_error(self, trained_dir, tmp_path, capsys):
+        _, out = trained_dir
+        trace = tmp_path / "huge.csv"
+        trace.write_text("1e400,1e-400\n")
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", str(out / "asset.pd4g"), str(trace), "--out", str(sim_out)]) == EXIT_VALIDATION
+        assert "first_frame_time_s" in capsys.readouterr().err
+        assert not (sim_out / "timeline.json").exists()
+
     def test_malformed_trace_names_line(self, trained_dir, tmp_path, capsys):
         _, out = trained_dir
         trace = tmp_path / "bad.csv"

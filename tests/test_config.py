@@ -52,3 +52,5 @@ class TestParsing:
             parse_config("anchor_count = 2\n")
         with pytest.raises(ConfigError):
             parse_config("pi_aggressive0 = 0.9\n")  # no longer sums to 1
+        with pytest.raises(ConfigError, match="quant_step_position"):
+            parse_config("quant_step_position = 1e308\n")  # step * 2**31 overflows

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pd4g.asset import AnchorSet, MaskBank
+from pd4g.asset import AnchorSet
 from pd4g.entropy import (
     AttributePrior,
     InsufficientDataError,
     bit_cost,
     estimate_prior,
     family_priors,
-    layer_rate,
     per_anchor_bits,
     quantize_array,
 )
+from pd4g.losses import LossWeights, level_loss
 
 # frozen against a 30-digit quadrature of the standard normal density
 CENTER_UNIT_INTERVAL_BITS = 1.3848665342909897
@@ -122,6 +122,12 @@ class TestQuantize:
 
 
 class TestLayerRate:
+    """The rate term of ``losses.level_loss``: ``mean(mask * per_anchor_bits)``."""
+
+    @staticmethod
+    def _level_loss(anchors, mask, bits):
+        return level_loss(0.0, mask, 0, LossWeights(), anchors.positions, np.empty((0, 2)), bits)
+
     def _fixture(self):
         rng = np.random.default_rng(1)
         anchors = AnchorSet(
@@ -134,18 +140,15 @@ class TestLayerRate:
         )
         quant = {"feature": 0.0625, "scale": 0.0625, "offset": 0.0625}
         priors = family_priors(anchors, np.ones(2, dtype=bool), quant)
-        return anchors, priors
+        return anchors, per_anchor_bits(anchors, priors)
 
     def test_zero_masks_zero_rate(self):
-        anchors, priors = self._fixture()
-        bank = MaskBank(levels=(np.zeros(2), np.zeros(2), np.zeros(2)))
-        assert layer_rate(bank, 0, anchors, priors) == 0.0
+        anchors, bits = self._fixture()
+        assert self._level_loss(anchors, np.zeros(2), bits).rate == 0.0
 
     def test_half_active_mean(self):
-        anchors, priors = self._fixture()
-        bits = per_anchor_bits(anchors, priors)
-        bank = MaskBank(levels=(np.array([1.0, 0.0]), np.zeros(2), np.zeros(2)))
-        assert layer_rate(bank, 0, anchors, priors) == pytest.approx(bits[0] / 2)
+        anchors, bits = self._fixture()
+        assert self._level_loss(anchors, np.array([1.0, 0.0]), bits).rate == pytest.approx(bits[0] / 2)
 
     def test_single_anchor_full_mask_is_total_cost(self):
         rng = np.random.default_rng(2)
@@ -162,10 +165,22 @@ class TestLayerRate:
             "scales": AttributePrior(1.0, 0.5, 0.0625),
             "offsets": AttributePrior(0.0, 0.3, 0.0625),
         }
-        bank = MaskBank(levels=(np.ones(1), np.ones(1), np.ones(1)))
         expected = (
             float(np.sum(bit_cost(anchors.features, priors["features"])))
             + float(bit_cost(1.0, priors["scales"]))
             + float(np.sum(bit_cost(anchors.offsets, priors["offsets"])))
         )
-        assert layer_rate(bank, 0, anchors, priors) == pytest.approx(expected)
+        bits = per_anchor_bits(anchors, priors)
+        assert self._level_loss(anchors, np.ones(1), bits).rate == pytest.approx(expected)
+
+    def test_no_bits_no_rate(self):
+        # fewer than two active anchors: no priors, so no rate and no rate gradient
+        anchors, bits = self._fixture()
+        mask = np.array([0.3, 0.8])
+        without = self._level_loss(anchors, mask, None)
+        assert without.rate == 0.0
+        unweighted = level_loss(
+            0.0, mask, 0, LossWeights(lambda_layer=(0.0, 0.0, 0.0)), anchors.positions, np.empty((0, 2)), bits
+        )
+        assert without.total == unweighted.total
+        assert np.array_equal(without.grad, unweighted.grad)

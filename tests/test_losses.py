@@ -9,55 +9,63 @@ from scipy import stats
 from pd4g.losses import (
     InsufficientAnchorsError,
     LossWeights,
-    binary_entropy_gradient,
-    binary_entropy_loss,
+    binary_entropy,
     level_loss,
     sample_pairs,
-    smoothness_gradient,
-    smoothness_loss,
+    smoothness,
 )
+
+
+def binary_entropy_value(mask):
+    return binary_entropy(mask)[0]
+
+
+def smoothness_value(mask, positions, pairs, tau):
+    return smoothness(mask, positions, pairs, tau)[0]
 
 
 class TestBinaryEntropy:
     def test_maximum_at_half(self):
-        assert binary_entropy_loss(np.full(5, 0.5)) == pytest.approx(1.0)
+        assert binary_entropy_value(np.full(5, 0.5)) == pytest.approx(1.0)
 
     def test_near_zero_at_poles(self):
-        assert binary_entropy_loss(np.array([0.0, 1.0, 0.0])) <= 3e-6
+        assert binary_entropy_value(np.array([0.0, 1.0, 0.0])) <= 3e-6
 
     def test_mean_of_per_anchor_entropies(self):
-        assert binary_entropy_loss(np.array([0.5, 1.0])) == pytest.approx(0.5, abs=1e-5)
+        assert binary_entropy_value(np.array([0.5, 1.0])) == pytest.approx(0.5, abs=1e-5)
 
     def test_unique_maximum_by_grid_scan(self):
         grid = np.linspace(0.0, 1.0, 101)
-        values = [binary_entropy_loss(np.array([g])) for g in grid]
+        values = [binary_entropy_value(np.array([g])) for g in grid]
         assert np.argmax(values) == 50
 
     @settings(deadline=None, max_examples=50)
     @given(mask=st.lists(st.floats(0, 1), min_size=1, max_size=16))
     def test_non_negative(self, mask):
-        assert binary_entropy_loss(np.array(mask)) >= 0.0
+        assert binary_entropy_value(np.array(mask)) >= 0.0
 
 
 class TestSmoothness:
     def test_identical_masks_cost_nothing(self):
         positions = np.random.default_rng(0).uniform(0, 1, (6, 2))
         pairs = sample_pairs(6, 10, 1)
-        assert smoothness_loss(np.full(6, 0.7), positions, pairs, 0.1) == 0.0
+        assert smoothness_value(np.full(6, 0.7), positions, pairs, 0.1) == 0.0
 
     def test_coincident_pair_weight_is_one(self):
         positions = np.zeros((2, 2))
         pairs = np.array([[0, 1]])
-        assert smoothness_loss(np.array([1.0, 0.0]), positions, pairs, 0.1) == pytest.approx(1.0)
+        assert smoothness_value(np.array([1.0, 0.0]), positions, pairs, 0.1) == pytest.approx(1.0)
 
     def test_unit_distance_weight(self):
         positions = np.array([[0.0, 0.0], [0.1, 0.0]])
         pairs = np.array([[0, 1]])
-        got = smoothness_loss(np.array([1.0, 0.0]), positions, pairs, 0.1)
+        got = smoothness_value(np.array([1.0, 0.0]), positions, pairs, 0.1)
         assert got == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_empty_pairs(self):
-        assert smoothness_loss(np.ones(3), np.zeros((3, 2)), np.empty((0, 2)), 0.1) == 0.0
+        value, grad = smoothness(np.ones(3), np.zeros((3, 2)), np.empty((0, 2)), 0.1)
+        assert value == 0.0
+        assert np.array_equal(grad, np.zeros(3))
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -72,7 +80,7 @@ class TestSmoothness:
 
         def d(x, y):
             # the loss applied to a difference vector induces the pseudometric
-            return smoothness_loss(x - y, positions, pairs, 0.1)
+            return smoothness_value(x - y, positions, pairs, 0.1)
 
         assert d(a, a) == 0.0
         assert d(a, b) == pytest.approx(d(b, a), abs=1e-12)
@@ -112,29 +120,34 @@ class TestLevelLoss:
     def test_reduces_to_render_loss_without_weights(self):
         mask, positions, pairs = self._setup(np.full(6, 0.37))
         weights = LossWeights(lambda_layer=(0.0, 0.0, 0.0), lambda_temporal=0.0)
-        total, grad, consistency = level_loss(1.25, 99.0, mask, 0, weights, positions, pairs)
+        bits = np.full(6, 99.0)
+        total, grad, rate, consistency = level_loss(1.25, mask, 0, weights, positions, pairs, bits)
         assert total == 1.25
         assert np.all(grad == 0)
+        assert rate == pytest.approx(0.37 * 99.0)
         assert consistency > 0
 
     def test_weighted_rate_example(self):
         mask, positions, pairs = self._setup(np.ones(6))
         weights = LossWeights(lambda_layer=(0.04, 0.01, 0.00025), lambda_temporal=0.01)
-        total, _, _ = level_loss(0.0, 2.0, mask, 0, weights, positions, pairs)
-        assert total == pytest.approx(0.08, abs=1e-6)
+        result = level_loss(0.0, mask, 0, weights, positions, pairs, np.full(6, 2.0))
+        assert result.rate == 2.0
+        assert result.total == pytest.approx(0.08, abs=1e-6)
 
     def test_gradient_includes_rate_term(self):
         mask, positions, pairs = self._setup(np.full(4, 0.6))
         weights = LossWeights(lambda_layer=(0.04, 0.01, 0.00025), lambda_temporal=0.0)
         bits = np.array([10.0, 20.0, 30.0, 40.0])
-        _, grad, _ = level_loss(0.0, 1.0, mask, 0, weights, positions, pairs, per_anchor_bits=bits)
-        np.testing.assert_allclose(grad, 0.04 * bits / 4)
+        result = level_loss(0.0, mask, 0, weights, positions, pairs, bits)
+        np.testing.assert_allclose(result.grad, 0.04 * bits / 4)
 
     def test_all_terms_non_negative(self):
         mask, positions, pairs = self._setup(np.random.default_rng(1).uniform(0, 1, 8))
         weights = LossWeights()
-        total, _, _ = level_loss(0.5, 3.0, mask, 1, weights, positions, pairs)
-        assert total >= 0.5
+        bits = np.random.default_rng(2).uniform(0, 30, 8)
+        result = level_loss(0.5, mask, 1, weights, positions, pairs, bits)
+        assert result.rate >= 0 and result.consistency >= 0
+        assert result.total >= 0.5
 
 
 class TestGradientsAgainstFiniteDifferences:
@@ -151,8 +164,8 @@ class TestGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(7)
         for _ in range(10):
             mask = rng.uniform(0.01, 0.99, 12)
-            analytic = binary_entropy_gradient(mask)
-            fd = self._fd(binary_entropy_loss, mask)
+            _, analytic = binary_entropy(mask)
+            fd = self._fd(binary_entropy_value, mask)
             assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-4
 
     def test_smoothness_gradient(self):
@@ -163,8 +176,8 @@ class TestGradientsAgainstFiniteDifferences:
             mask = rng.uniform(0, 1, 10)
             while np.min(np.abs(mask[pairs[:, 0]] - mask[pairs[:, 1]])) < 1e-3:
                 mask = rng.uniform(0, 1, 10)
-            analytic = smoothness_gradient(mask, positions, pairs, 0.1)
-            fd = self._fd(lambda m: smoothness_loss(m, positions, pairs, 0.1), mask)
+            _, analytic = smoothness(mask, positions, pairs, 0.1)
+            fd = self._fd(lambda m: smoothness_value(m, positions, pairs, 0.1), mask)
             assert np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-4
 
 

@@ -191,6 +191,12 @@ class TestSimulate:
         timeline = simulate(self.SIZES, BandwidthTrace.constant(10**6))
         assert float(timeline.events[-1].time) < 1e-3
 
+    def test_json_names_the_field_too_large_for_a_float(self):
+        timeline = simulate([1000], BandwidthTrace.from_csv("1e400,1e-400\n"))
+        assert timeline.first_frame_time == Fraction(8 * 10**397)
+        with pytest.raises(ValueError, match=r"first_frame_time_s"):
+            timeline.to_json()
+
     def test_exact_byte_integration(self):
         trace = BandwidthTrace(segments=((Fraction(1, 3), Fraction(7)), (Fraction(5, 7), Fraction(3))))
         timeline = simulate([10**9], trace)
