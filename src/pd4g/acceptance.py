@@ -236,7 +236,8 @@ def criterion_gradients(configs: int = 100) -> tuple[bool, str]:
     rng = np.random.default_rng(41)
     quant = dict(toyscene.DEFAULT_QUANT_STEPS)
     # one term of level_loss at a time; the rate term's priors are refitted
-    # for every mask in the stencil, as training refits them every step
+    # for every mask in the stencil, as training refits them whenever the
+    # level's active set changes
     terms = {
         "rate": losses.LossWeights(lambda_layer=(1.0, 0.0, 0.0), lambda_temporal=0.0),
         "binary": losses.LossWeights(lambda_temporal=1.0, smooth_weight=0.0),

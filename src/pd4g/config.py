@@ -9,6 +9,7 @@ default to values that converge on toy scenes in under a minute.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -101,10 +102,10 @@ class RunConfig:
             "binary_weight",
             "smooth_weight",
         ):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        if not self.tau_scene_units > 0:
-            raise ConfigError("tau_scene_units must be positive")
+            if not (0 <= getattr(self, name) < math.inf):
+                raise ConfigError(f"{name} must be non-negative and finite")
+        if not (0 < self.tau_scene_units < math.inf):
+            raise ConfigError("tau_scene_units must be positive and finite")
         for family, step in self.quant_steps().items():
             if not usable_quant_step(step):
                 raise ConfigError(f"quant_step_{family} must be positive and finite, also times 2**31")

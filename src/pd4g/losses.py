@@ -12,6 +12,7 @@ term computing its value and gradient in one pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,14 +46,14 @@ class LossWeights:
     smooth_weight: float = 1.0
 
     def __post_init__(self):
-        if any(w < 0 for w in self.lambda_layer) or self.lambda_temporal < 0:
-            raise ValueError("loss weights must be non-negative")
-        if not self.tau > 0:
-            raise ValueError("smoothness length scale tau must be positive")
+        if not all(0 <= w < math.inf for w in (*self.lambda_layer, self.lambda_temporal)):
+            raise ValueError("loss weights must be non-negative and finite")
+        if not (0 < self.tau < math.inf):
+            raise ValueError("smoothness length scale tau must be positive and finite")
         if self.pair_factor < 1:
             raise ValueError("pair_factor must be at least 1")
-        if self.binary_weight < 0 or self.smooth_weight < 0:
-            raise ValueError("term scales must be non-negative")
+        if not (0 <= self.binary_weight < math.inf and 0 <= self.smooth_weight < math.inf):
+            raise ValueError("term scales must be non-negative and finite")
 
 
 def binary_entropy(mask: np.ndarray) -> tuple[float, np.ndarray]:
@@ -149,10 +150,10 @@ def level_loss(
     ``mask`` is the sampled level's mask vector and ``bits`` the per-anchor
     bit cost under the current priors (``entropy.per_anchor_bits``), or
     None when the priors cannot be fitted; the rate ``mean(mask * bits)`` is
-    then 0. Priors are held fixed (refitted each step, not differentiated
-    through), so the rate is linear in the mask. The gradient covers the rate
-    and consistency terms only; the caller differentiates the render loss
-    through its renderer and adds that.
+    then 0. Priors are held fixed (refitted whenever the level's active set
+    changes, not differentiated through), so the rate is linear in the mask.
+    The gradient covers the rate and consistency terms only; the caller
+    differentiates the render loss through its renderer and adds that.
     """
     level = check_layer(level)
     mask = np.asarray(mask, dtype=np.float64)

@@ -386,11 +386,11 @@ def train_masks(
     through the splat in closed form, and from ``progressive_start`` on adds
     the rate and consistency terms of ``losses.level_loss``, which also
     supplies the loss curve's rate and consistency columns. The entropy
-    priors behind the rate are refitted every such step on the level's
-    active anchors; with fewer than two active the rate is 0. Masks follow
-    projected gradient descent onto [0, 1]. Every ``sample_period`` steps the
-    activation rate is re-measured and folded into the scheduler's moving
-    average.
+    priors behind the rate are fitted on the level's active anchors and
+    refitted whenever that level's active set changes; with fewer than two
+    active the rate is 0. Masks follow projected gradient descent onto
+    [0, 1]. Every ``sample_period`` steps the activation rate is re-measured
+    and folded into the scheduler's moving average.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -407,6 +407,18 @@ def train_masks(
     timestep_seed = derive_seed(seed, "timestep")
 
     splat_cache: dict[tuple[int, int], _Splat] = {}
+
+    def splat_at(level: int, k: int) -> _Splat:
+        key = (level, k)
+        if key not in splat_cache:
+            t = float(scene.deformations.timesteps[k])
+            splat_cache[key] = _Splat(scene.anchors, scene.deformations, level, t, pixels)
+        return splat_cache[key]
+
+    # per level, the last active set (as bytes) and the bits fitted on it:
+    # anchors and quant steps are fixed for the run, so the bits depend on
+    # the active set alone
+    fitted: list[tuple[bytes, np.ndarray | None] | None] = [None, None, None]
     trajectory: list[tuple[int, float, float]] = []
     curve: list[dict] = []
     positions = scene.anchors.positions
@@ -423,20 +435,19 @@ def train_masks(
         level = rollout.sample_level(pi, rollout_seed, step)
         k = int(counter_uniform(timestep_seed, step) * scene.deformations.step_count)
 
-        key = (level, k)
-        if key not in splat_cache:
-            t = float(scene.deformations.timesteps[k])
-            splat_cache[key] = _Splat(scene.anchors, scene.deformations, level, t, pixels)
-
         mask = levels[level]
-        render_loss, grad = _render_gradient(splat_cache[key], mask, gt_flat[k])
+        render_loss, grad = _render_gradient(splat_at(level, k), mask, gt_flat[k])
         total, rate, consistency = render_loss, 0.0, 0.0
         if step >= progressive_start:
             active = mask > threshold
-            bits = None
-            if int(active.sum()) >= 2:
-                priors = entropy.family_priors(scene.anchors, active, quant_steps)
-                bits = entropy.per_anchor_bits(scene.anchors, priors)
+            active_key = active.tobytes()
+            if fitted[level] is None or fitted[level][0] != active_key:
+                bits = None
+                if int(active.sum()) >= 2:
+                    priors = entropy.family_priors(scene.anchors, active, quant_steps)
+                    bits = entropy.per_anchor_bits(scene.anchors, priors)
+                fitted[level] = (active_key, bits)
+            bits = fitted[level][1]
             pairs = losses.sample_pairs(
                 count, weights.pair_factor * count, derive_seed(seed, "pairs", step)
             )
@@ -468,8 +479,8 @@ def train_masks(
     active_levels = []
     for level in range(3):
         values = [
-            psnr(render(scene, bank, level, float(t)), scene.ground_truth[i])
-            for i, t in enumerate(scene.deformations.timesteps)
+            psnr(splat_at(level, k).image(bank.level(level)).reshape(gt.shape), gt)
+            for k, gt in enumerate(scene.ground_truth)
         ]
         psnr_levels.append(float(np.mean(values)))
         active_levels.append(int(np.flatnonzero(bank.level(level) > threshold).size))

@@ -63,6 +63,14 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == EXIT_VALIDATION
         assert "not_a_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("lambda_temporal", "nan"), ("tau_scene_units", "inf")])
+    def test_non_finite_weight_is_validation_error(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, FAST_TRAIN + f"{key} = {value}\n", out)
+        assert main(["train", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEncodeInspect:
     def test_container_and_manifest_exist(self, trained_dir):

@@ -54,3 +54,20 @@ class TestParsing:
             parse_config("pi_aggressive0 = 0.9\n")  # no longer sums to 1
         with pytest.raises(ConfigError, match="quant_step_position"):
             parse_config("quant_step_position = 1e308\n")  # step * 2**31 overflows
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "lambda_layer0",
+            "lambda_layer1",
+            "lambda_layer2",
+            "lambda_temporal",
+            "binary_weight",
+            "smooth_weight",
+            "tau_scene_units",
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_weight_named(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{key} = {value}\n")

@@ -192,3 +192,19 @@ class TestLossWeights:
             LossWeights(lambda_layer=(-0.1, 0.0, 0.0))
         with pytest.raises(ValueError):
             LossWeights(tau=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lambda_layer": (math.nan, 0.0, 0.0)},
+            {"lambda_temporal": math.nan},
+            {"lambda_temporal": math.inf},
+            {"binary_weight": math.nan},
+            {"smooth_weight": math.inf},
+            {"tau": math.nan},
+            {"tau": math.inf},
+        ],
+    )
+    def test_rejects_non_finite_weights(self, kwargs):
+        with pytest.raises(ValueError):
+            LossWeights(**kwargs)

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from pd4g import entropy
 from pd4g.acceptance import _fd_gradient, _rel_err
 from pd4g.asset import DeformationTable, LocalResiduals, MaskBank, MissingLayerError
 from pd4g.losses import LossWeights
@@ -255,3 +258,87 @@ class TestTrainMasks:
         )
         sampled_steps = [s for s, _, _ in report.activation_trajectory]
         assert sampled_steps == [0, 25, 50, 75]
+
+
+# sha256 prefixes of (mask bytes, loss_curve_csv(), to_json()) for 3000-step
+# runs at 64 anchors, 4 timesteps, 32x32, lr 0.5, RolloutConfig(25, 400),
+# progressive start 400, seed 11
+PINNED_RUNS = {
+    "motion-dense-101": (
+        "motion-dense",
+        101,
+        LossWeights(),
+        ("ee3e642b186879cf", "d570b799188c3e1e", "23531476e73cd115"),
+    ),
+    "mixed-201-lambda0": (
+        "mixed",
+        201,
+        LossWeights(lambda_layer=(0.00025, 0.01, 0.00025)),
+        ("d393bb8ffc2ee32c", "f3a4b55e072310da", "fe078ac884a71174"),
+    ),
+}
+
+
+def _counting_fits(monkeypatch) -> list[int]:
+    """Count entropy.family_priors calls, as train_masks makes them."""
+    fits = [0]
+    fit = entropy.family_priors
+
+    def counted(*args, **kwargs):
+        fits[0] += 1
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(entropy, "family_priors", counted)
+    return fits
+
+
+@pytest.fixture(scope="module")
+def pinned_runs():
+    """Each pinned run trained once: its digest triple and prior-fit count."""
+    results = {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        fits = _counting_fits(monkeypatch)
+        for name, (kind, seed, weights, _) in PINNED_RUNS.items():
+            scene = make_scene(kind, 64, 4, seed, image_size=(32, 32))
+            fits[0] = 0
+            bank, report = train_masks(
+                scene,
+                weights,
+                RolloutConfig(sample_period=25, warmup_steps=400),
+                steps=3000,
+                seed=11,
+                learning_rate=0.5,
+                progressive_start=400,
+            )
+            masks = b"".join(bank.level(level).tobytes() for level in range(3))
+            texts = (masks, report.loss_curve_csv().encode(), report.to_json().encode())
+            results[name] = (tuple(hashlib.sha256(t).hexdigest()[:16] for t in texts), fits[0])
+    return results
+
+
+class TestTrainingBits:
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_digests_pinned(self, pinned_runs, name):
+        digests, _ = pinned_runs[name]
+        assert digests == PINNED_RUNS[name][3], f"new digest triple for {name}: {digests}"
+
+    def test_priors_refit_when_the_active_set_changes(self, pinned_runs):
+        # motion-dense 101 fits its priors 31 times in 2600 progressive steps:
+        # once per level and active set, not once per step
+        _, fits = pinned_runs["motion-dense-101"]
+        assert 3 < fits < 100
+
+    def test_priors_fit_once_per_level_on_a_fixed_active_set(self, monkeypatch):
+        fits = _counting_fits(monkeypatch)
+        scene = make_scene("static", 16, 2, seed=5, image_size=(16, 16))
+        bank, _ = train_masks(
+            scene,
+            LossWeights(),
+            RolloutConfig(sample_period=10, warmup_steps=20),
+            steps=200,
+            seed=3,
+            learning_rate=0.3,
+            progressive_start=20,
+        )
+        assert all(np.all(bank.level(level) > bank.threshold) for level in range(3))
+        assert fits[0] <= 3
