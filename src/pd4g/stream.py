@@ -9,6 +9,14 @@ exact ``Fraction``s. Sizes use decimal megabytes (1e6 bytes) and throughput
 decimal megabits per second, which makes the first-frame formula 8*S/B
 exact. The simulator models download only; decode and render time are out
 of scope.
+
+Trace numbers are read exactly by one parser, ``_parse_ratio``, which builds
+integer numerators and denominators from the digits of a field. It accepts
+the language of Python 3.11's ``Fraction(str)``: an optional sign, digits with
+``_`` separators, then either ``/denominator`` or an optional ``.fraction``
+and ``e``/``E`` exponent, with whitespace around the field. The one
+difference is that it refuses a decimal exponent beyond ``MAX_EXPONENT`` in
+magnitude before building any power of ten.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,27 +52,75 @@ class TraceParseError(ValueError):
         self.line_number = line_number
 
 
-def _number(value) -> Fraction:
-    """``Fraction(value)``, refusing a string whose decimal exponent exceeds ``MAX_EXPONENT``.
+# The trace-number grammar: ``fractions._RATIONAL_FORMAT`` of Python 3.11,
+# matched against a field stripped of surrounding whitespace. Either side of
+# a decimal point may be empty, not both; ``\d`` matches any script's decimal
+# digits, as in ``Fraction`` and ``int``.
+_DIGITS = r"\d+(?:_\d+)*"
+_NUMBER = re.compile(
+    rf"(?P<sign>[-+]?)(?=\.?\d)(?P<num>(?:{_DIGITS})?)"
+    rf"(?:/(?P<denom>{_DIGITS})|(?:\.(?P<decimal>(?:{_DIGITS})?))?(?:[eE](?P<esign>[-+]?)(?P<exp>{_DIGITS}))?)"
+)
 
-    The check runs before ``Fraction`` builds the power of ten, which for
-    ``1e10000000`` takes seconds.
+
+def _exponent(sign: str, digits: str, field: str) -> int:
+    """The signed decimal exponent, refused beyond ``MAX_EXPONENT`` before any power of ten is built.
+
+    The digit count is checked before ``int``, so ``1e10000000`` fails at once.
     """
-    if isinstance(value, str) and ("e" in value or "E" in value):
-        exponent = value.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
-        if exponent.isdecimal() and (len(exponent) > len(str(MAX_EXPONENT)) or int(exponent) > MAX_EXPONENT):
-            raise ValueError(f"decimal exponent beyond {MAX_EXPONENT} in {value!r}")
-    return Fraction(value)
+    digits = digits.replace("_", "")
+    if not digits.isascii():
+        digits = "".join(str(int(c)) for c in digits)
+    digits = digits.lstrip("0") or "0"
+    magnitude = int(digits) if len(digits) <= len(str(MAX_EXPONENT)) else MAX_EXPONENT + 1
+    if magnitude > MAX_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {MAX_EXPONENT} in {field!r}")
+    return -magnitude if sign == "-" else magnitude
 
 
-def _segment(duration, mbps) -> tuple[Fraction, Fraction]:
-    """One validated segment as exact (seconds, Mbps)."""
-    duration, mbps = _number(duration), _number(mbps)
-    if duration <= 0:
+def _parse_ratio(field: str) -> tuple[int, int]:
+    """One trace number as (numerator, denominator), built from its digits.
+
+    The denominator is positive and not reduced. Accepts what
+    ``Fraction(field)`` accepts, except a decimal exponent beyond
+    ``MAX_EXPONENT`` in magnitude. Raises ``ValueError`` for any other field
+    and ``ZeroDivisionError`` for a zero denominator, as ``Fraction`` does.
+    """
+    match = _NUMBER.fullmatch(field.strip())
+    if match is None:
+        raise ValueError(f"invalid number {field!r}")
+    sign, num, denom, decimal, exp_sign, exp = match.groups()
+    exponent = 0 if exp is None else _exponent(exp_sign, exp, field)
+    numerator = int(num) if num else 0
+    if denom is not None:
+        denominator = int(denom)
+        if not denominator:
+            raise ZeroDivisionError(f"zero denominator in {field!r}")
+    else:
+        denominator = 1
+        if decimal:
+            decimal = decimal.replace("_", "")
+            denominator = 10 ** len(decimal)
+            numerator = numerator * denominator + int(decimal)
+        if exponent > 0:
+            numerator *= 10**exponent
+        elif exponent < 0:
+            denominator *= 10**-exponent
+    return (-numerator if sign == "-" else numerator), denominator
+
+
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, positive denominator): strings through ``_parse_ratio``, other values through ``Fraction``."""
+    return _parse_ratio(value) if isinstance(value, str) else Fraction(value).as_integer_ratio()
+
+
+def _segment(duration: tuple[int, int], mbps: tuple[int, int]) -> tuple[Fraction, Fraction]:
+    """One validated segment as exact (seconds, Mbps), from (numerator, positive denominator) pairs."""
+    if duration[0] <= 0:
         raise ValueError("segment durations must be positive")
-    if mbps < 0:
+    if mbps[0] < 0:
         raise ValueError("throughput cannot be negative")
-    return duration, mbps
+    return Fraction(*duration), Fraction(*mbps)
 
 
 class _Integral(NamedTuple):
@@ -92,7 +149,7 @@ class BandwidthTrace:
     def __post_init__(self):
         if not self.segments:
             raise ValueError("trace requires at least one segment")
-        object.__setattr__(self, "segments", tuple(_segment(d, m) for d, m in self.segments))
+        object.__setattr__(self, "segments", tuple(_segment(_ratio(d), _ratio(m)) for d, m in self.segments))
 
     @staticmethod
     def constant(mbps, duration=Fraction(10**9)) -> "BandwidthTrace":
@@ -102,9 +159,11 @@ class BandwidthTrace:
     def from_csv(text: str) -> "BandwidthTrace":
         """Parse ``duration_s,mbps`` lines; '#' comments and blank lines ignored.
 
-        Each number is a ``Fraction`` string (integer, decimal, exponent or
-        ``p/q`` form) whose decimal exponent is at most ``MAX_EXPONENT`` in
-        magnitude.
+        Each number is an optionally signed integer (``8``, ``1_000``), ratio
+        (``1/3``) or decimal with an optional exponent (``1.5``, ``.5``,
+        ``2e-3``), with whitespace allowed around it: the language of
+        Python 3.11's ``Fraction(str)``, except that the decimal exponent must
+        be at most ``MAX_EXPONENT`` in magnitude.
         """
         segments = []
         for number, line in enumerate(text.splitlines(), start=1):
@@ -115,7 +174,7 @@ class BandwidthTrace:
             if len(parts) != 2:
                 raise TraceParseError(number, f"expected 'duration_s,mbps', got {line!r}")
             try:
-                segments.append(_segment(*parts))
+                segments.append(_segment(_parse_ratio(parts[0]), _parse_ratio(parts[1])))
             except (ValueError, ZeroDivisionError) as exc:
                 raise TraceParseError(number, f"{exc} in {line!r}") from exc
         if not segments:
@@ -214,11 +273,15 @@ def first_frame_latency(size_mb: float, bandwidth_mbps: float) -> float:
     Decimal units throughout (MB = 1e6 bytes, Mbps = 1e6 bits/s). This is a
     lower bound: only transfer time is modeled.
     """
-    if bandwidth_mbps <= 0:
-        raise ValueError("bandwidth must be strictly positive")
-    if size_mb < 0:
-        raise ValueError("size cannot be negative")
+    _check_bandwidth(bandwidth_mbps)
+    if not (size_mb >= 0 and math.isfinite(size_mb)):
+        raise ValueError(f"size must be finite and non-negative, got {size_mb!r}")
     return 8.0 * size_mb / bandwidth_mbps
+
+
+def _check_bandwidth(mbps: float) -> None:
+    if not (mbps > 0 and math.isfinite(mbps)):
+        raise ValueError(f"bandwidth must be finite and strictly positive, got {mbps!r}")
 
 
 def _cumulative_bytes(manifest_or_sizes) -> list[int]:
@@ -320,8 +383,8 @@ def latency_table(
     size is used) or plain sizes in decimal MB. Returns one row per model
     with per-bandwidth latencies in seconds.
     """
-    if any(b <= 0 for b in bandwidths):
-        raise ValueError("bandwidths must be strictly positive")
+    for b in bandwidths:
+        _check_bandwidth(b)
     rows = []
     for i, entry in enumerate(manifests):
         if isinstance(entry, LayerManifest):
@@ -329,13 +392,11 @@ def latency_table(
         else:
             size_mb = float(entry)
         label = labels[i] if labels else f"model-{i}"
-        rows.append(
-            {
-                "label": label,
-                "size_mb": size_mb,
-                "latency_s": [first_frame_latency(size_mb, b) for b in bandwidths],
-            }
-        )
+        try:
+            latencies = [first_frame_latency(size_mb, b) for b in bandwidths]
+        except ValueError as exc:
+            raise ValueError(f"{label}: {exc}") from None
+        rows.append({"label": label, "size_mb": size_mb, "latency_s": latencies})
     return rows
 
 

@@ -1,0 +1,56 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_compare.py"
+METRICS = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def _write_run(directory: Path, seed: int, replay_ms: float, digests=("a", "b"), problems=(), traced=False):
+    """One synthetic result record: every end-to-end metric 100 except ``replay_ms_p95``."""
+    directory.mkdir(exist_ok=True)
+    record = {"workload": "trace-replay", "seed": seed, "container_sha256": list(digests), "problems": list(problems)}
+    if not traced:
+        record["metrics"] = {m["name"]: {"value": 100.0, "unit": m["unit"]} for m in METRICS}
+        record["metrics"]["replay_ms_p95"]["value"] = replay_ms
+    (directory / f"trace-replay-seed{seed}-trace{int(traced)}.json").write_text(json.dumps(record))
+
+
+def _compare(tmp_path):
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), str(tmp_path / "parent"), str(tmp_path / "change")],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+
+
+def _row(stdout: str, metric: str) -> list[str]:
+    return next(line.split() for line in stdout.splitlines() if line.split()[:1] == [metric])
+
+
+def test_reports_medians_wins_and_bounds(tmp_path):
+    for seed, (before, after) in enumerate([(20.0, 10.0), (19.0, 9.0), (18.0, 19.0)], start=1):
+        _write_run(tmp_path / "parent", seed, before)
+        _write_run(tmp_path / "change", seed, after)
+    _write_run(tmp_path / "parent", 1, 0.0, traced=True)  # per-layer records are not compared
+    result = _compare(tmp_path)
+    assert result.returncode == 0, result.stdout
+    assert "trace-replay: 3 pairs, seeds 1, 2, 3" in result.stdout
+    assert _row(result.stdout, "replay_ms_p95") == ["replay_ms_p95", "19", "10", "-47.4%", "2/3", "within", "0.25"]
+    assert _row(result.stdout, "psnr_l0_db")[3:5] == ["+0.0%", "0/3"]
+    assert "differ on common rounds: none" in result.stdout
+
+
+def test_flags_regressions_digests_and_problems(tmp_path):
+    _write_run(tmp_path / "parent", 1, 10.0, digests=("a", "b", "c"))
+    _write_run(tmp_path / "change", 1, 13.0, digests=("a", "x"), problems=["round 0: decode mismatch"])
+    _write_run(tmp_path / "change", 2, 13.0)
+    result = _compare(tmp_path)
+    assert result.returncode == 1
+    assert _row(result.stdout, "replay_ms_p95")[3:7] == ["+30.0%", "0/1", "BEYOND", "0.25"]
+    assert "differ on common rounds: 1" in result.stdout
+    assert "problems in change trace-replay seed 1: round 0: decode mismatch" in result.stdout
+    assert "unpaired runs (ignored): trace-replay seed 2" in result.stdout

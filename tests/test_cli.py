@@ -161,6 +161,22 @@ class TestLatencyTable:
         sizes.write_text("model,1.0\n")
         assert main(["latency-table", "--sizes", str(sizes), "--bandwidths", "2,zero"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("bandwidths", ["2,nan", "2,inf", "10,-inf"])
+    def test_non_finite_bandwidth_is_named(self, tmp_path, capsys, bandwidths):
+        sizes = tmp_path / "sizes.csv"
+        sizes.write_text("model,1.0\n")
+        assert main(["latency-table", "--sizes", str(sizes), "--bandwidths", bandwidths]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert bandwidths.rpartition(",")[2] in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("size", ["nan", "inf"])
+    def test_non_finite_size_is_named(self, tmp_path, capsys, size):
+        sizes = tmp_path / "sizes.csv"
+        sizes.write_text(f"model,1.0\na,{size}\n")
+        assert main(["latency-table", "--sizes", str(sizes), "--bandwidths", "2"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "a:" in err and size in err
+
 
 class TestVerifyCommand:
     def test_fast_criteria_pass_and_report_timing(self, capsys):

@@ -1,19 +1,24 @@
+import fractions
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pd4g import bitstream
 from pd4g.acceptance import random_asset
 from pd4g.stream import (
+    MAX_EXPONENT,
     BandwidthTrace,
     TraceParseError,
+    _parse_ratio,
     emit_abr_manifest,
     first_frame_latency,
     latency_table,
@@ -124,6 +129,67 @@ def _benchmark_style_trace(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+TRACES = Path(__file__).resolve().parent.parent / "traces"
+# characters of trace numbers, plus a non-breaking space and an Arabic-Indic one
+_NUMBER_CHARS = "0123456789+-./eE _\t\xa0\u0661"
+_DIGIT_RUNS = st.lists(st.text("0123456789", min_size=1, max_size=4), min_size=1, max_size=3).map("_".join)
+
+
+@st.composite
+def _grammar_fields(draw):
+    """A field built from the number grammar: sign, digits, ratio or decimal and exponent, whitespace."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    whole = draw(st.one_of(st.just(""), _DIGIT_RUNS))
+    if draw(st.booleans()):
+        body = f"{whole}/{draw(st.one_of(st.just('0'), _DIGIT_RUNS))}"
+    else:
+        point = draw(st.sampled_from(["", "."])) + draw(st.one_of(st.just(""), _DIGIT_RUNS))
+        exponent = draw(
+            st.one_of(
+                st.just(""),
+                st.builds(
+                    "{}{}{}".format,
+                    st.sampled_from("eE"),
+                    st.sampled_from(["", "+", "-"]),
+                    st.one_of(st.integers(0, 1100).map(str), _DIGIT_RUNS),
+                ),
+            )
+        )
+        body = whole + point + exponent
+    space = st.text(" \t\n\xa0", max_size=2)
+    return draw(space) + sign + body + draw(space)
+
+
+def _fraction_reference(field: str):
+    """``Fraction(field)``, the exception type it raises, or "beyond" for an exponent past ``MAX_EXPONENT``.
+
+    The exponent is read with the standard library's own pattern and never
+    handed to ``Fraction``, which would build its power of ten.
+    """
+    match = fractions._RATIONAL_FORMAT.match(field)
+    if match and match.group("exp"):
+        try:
+            if abs(int(match.group("exp"))) > MAX_EXPONENT:
+                return "beyond"
+        except ValueError:  # more digits than ``int`` reads; ``Fraction`` refuses it below
+            pass
+    try:
+        return Fraction(field)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _fraction_segments(text: str) -> tuple:
+    """A trace's segments as ``Fraction(str)`` reads its fields."""
+    segments = []
+    for line in text.splitlines():
+        body = line.split("#", 1)[0].strip()
+        if body:
+            duration, mbps = body.split(",")
+            segments.append((Fraction(duration), Fraction(mbps)))
+    return tuple(segments)
+
+
 class TestFirstFrameLatency:
     def test_published_cells(self):
         assert first_frame_latency(0.436, 2) == pytest.approx(1.744, abs=1e-12)
@@ -135,6 +201,11 @@ class TestFirstFrameLatency:
             first_frame_latency(1.0, 0.0)
         with pytest.raises(ValueError):
             first_frame_latency(-1.0, 2.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=repr(bad)):
+                first_frame_latency(1.0, bad)
+            with pytest.raises(ValueError, match=repr(bad)):
+                first_frame_latency(bad, 2.0)
 
     def test_doubling_bandwidth_halves_latency(self):
         for size in (0.436, 6.88, 232.4):
@@ -301,6 +372,42 @@ class TestTraceParsing:
         with pytest.raises(ValueError):
             BandwidthTrace(segments=(("1e10000000", 8),))
 
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the grammar is Python 3.11's Fraction(str)")
+    @settings(max_examples=1500, deadline=None)
+    @given(st.one_of(st.text(max_size=12), st.text(_NUMBER_CHARS, max_size=12), _grammar_fields()))
+    @example("1.")
+    @example(".5e-3")
+    @example("1.e5")
+    @example("1.d")
+    @example("\xa0\u0661\u0662/\u0663 ")
+    @example("1e\u0660\u0660\u0660\u0660\u0660\u0665")
+    @example("-1/0")
+    @example("1_0e1_0")
+    @example("1e" + "9" * 5000)
+    def test_parser_matches_fraction(self, field):
+        want = _fraction_reference(field)
+        if want == "beyond":
+            with pytest.raises(ValueError):
+                _parse_ratio(field)
+        elif isinstance(want, type):
+            with pytest.raises(want):
+                _parse_ratio(field)
+        else:
+            numerator, denominator = _parse_ratio(field)
+            assert denominator > 0 and Fraction(numerator, denominator) == want
+
+    @pytest.mark.parametrize("name", ["constant_2mbps.csv", "collapse_and_recover.csv"])
+    def test_bundled_traces_read_as_fraction_does(self, name):
+        text = (TRACES / name).read_text()
+        assert BandwidthTrace.from_csv(text).segments == _fraction_segments(text)
+
+    @pytest.mark.parametrize("seed", [931, 7, 6301])
+    def test_benchmark_style_traces_read_as_fraction_does(self, seed):
+        text = _benchmark_style_trace(seed)
+        segments = BandwidthTrace.from_csv(text).segments
+        assert len(segments) == 1000 and segments == _fraction_segments(text)
+        assert all(type(value) is Fraction for segment in segments for value in segment)
+
 
 class TestAbrManifest:
     def _manifest(self):
@@ -349,3 +456,10 @@ class TestLatencyTable:
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError):
             latency_table([1.0], [0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_inputs(self, bad):
+        with pytest.raises(ValueError, match=repr(bad)):
+            latency_table([], [2.0, bad])
+        with pytest.raises(ValueError, match=f"big: .*{bad!r}"):
+            latency_table([1.0, bad], [2.0], labels=["small", "big"])
