@@ -1,9 +1,10 @@
-"""Core data model: anchors, per-level masks, tabulated deformations, level routing.
+"""Core data model: anchors, per-level masks, tabulated deformations.
 
 The renderable scene is a set of canonical anchors shared by all bitstream
-layers. Level 0 renders the anchors as-is, level 1 adds tabulated per-anchor
-global displacements and feature residuals, level 2 additionally applies
-per-anchor local residuals (position, scale, opacity, color). All types are
+layers. Level 0 is the anchors as-is, level 1 adds tabulated per-anchor
+global displacements and feature residuals, level 2 additionally carries
+per-anchor local residuals (position, scale, opacity, color); the splat
+kernel ``toyscene._Splat`` applies them when rendering. All types are
 immutable after construction and every operation returns new values, so the
 model is safe for concurrent reads.
 """
@@ -11,7 +12,6 @@ model is safe for concurrent reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -222,47 +222,3 @@ def activation_rate(bank: MaskBank) -> float:
     raw = float(np.mean(bank.level(2) - bank.level(0)))
     return min(1.0, max(0.0, raw))
 
-
-def route_level(
-    anchors: AnchorSet,
-    deformations: Optional[DeformationTable],
-    level: int,
-    t: float,
-) -> AnchorSet:
-    """Produce the effective Gaussian set for a received layer prefix at time ``t``.
-
-    Level 0 returns the canonical anchors untouched. Level 1 adds the global
-    displacement and feature residual at the nearest stored timestep. Level 2
-    further applies local residuals, clamping scale to stay non-negative and
-    opacity/color to stay inside [0, 1].
-    """
-    level = check_layer(level)
-    if level == 0:
-        return anchors
-    if deformations is None:
-        raise MissingLayerError(f"level {level} requested but no deformation table is present")
-    if deformations.count != anchors.count:
-        raise ValueError("deformation table anchor count does not match the anchor set")
-
-    k = deformations.nearest_index(t)
-    positions = anchors.positions + deformations.displacements[k]
-    features = anchors.features + deformations.feature_residuals[k]
-    scales = anchors.scales
-    opacities = anchors.opacities
-    colors = anchors.colors
-
-    if level == 2:
-        loc = deformations.local
-        positions = positions + loc.d_position[k]
-        scales = np.maximum(scales + loc.d_scale[k], 0.0)
-        opacities = np.clip(opacities + loc.d_opacity[k], 0.0, 1.0)
-        colors = np.clip(colors + loc.d_color[k], 0.0, 1.0)
-
-    return AnchorSet(
-        positions=positions,
-        features=features,
-        scales=scales,
-        offsets=anchors.offsets,
-        opacities=opacities,
-        colors=colors,
-    )

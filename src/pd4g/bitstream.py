@@ -29,6 +29,14 @@ CHUNK_ENTRY_SIZE = 22
 DEFAULT_PRESET = 6
 
 QUANT_FAMILIES = ("position", "feature", "scale", "offset", "mask", "deform")
+DEFAULT_QUANT_STEPS = {
+    "position": 1.0 / 16.0,
+    "feature": 1.0 / 16.0,
+    "scale": 1.0 / 16.0,
+    "offset": 1.0 / 16.0,
+    "mask": 1.0 / 256.0,
+    "deform": 1.0 / 16.0,
+}
 
 
 class FormatError(ValueError):
@@ -75,8 +83,6 @@ class EncodeConfig:
 
     @staticmethod
     def default() -> "EncodeConfig":
-        from .toyscene import DEFAULT_QUANT_STEPS
-
         return EncodeConfig(quant_steps=dict(DEFAULT_QUANT_STEPS))
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .bitstream import usable_quant_step
+from .bitstream import DEFAULT_QUANT_STEPS, QUANT_FAMILIES, usable_quant_step
 from .losses import LossWeights
 from .rollout import RolloutConfig
 from .toyscene import SCENE_KINDS
@@ -21,15 +21,6 @@ from .toyscene import SCENE_KINDS
 
 class ConfigError(ValueError):
     """A config line or value is invalid; the message names the key."""
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 @dataclass
@@ -65,12 +56,12 @@ class RunConfig:
     progressive_start_step: int = 400
     learning_rate: float = 0.4
 
-    quant_step_position: float = 1.0 / 16.0
-    quant_step_feature: float = 1.0 / 16.0
-    quant_step_scale: float = 1.0 / 16.0
-    quant_step_offset: float = 1.0 / 16.0
-    quant_step_mask: float = 1.0 / 256.0
-    quant_step_deform: float = 1.0 / 16.0
+    quant_step_position: float = DEFAULT_QUANT_STEPS["position"]
+    quant_step_feature: float = DEFAULT_QUANT_STEPS["feature"]
+    quant_step_scale: float = DEFAULT_QUANT_STEPS["scale"]
+    quant_step_offset: float = DEFAULT_QUANT_STEPS["offset"]
+    quant_step_mask: float = DEFAULT_QUANT_STEPS["mask"]
+    quant_step_deform: float = DEFAULT_QUANT_STEPS["deform"]
     compressor_preset: int = 6
 
     out_dir: str = "out"
@@ -137,14 +128,7 @@ class RunConfig:
         )
 
     def quant_steps(self) -> dict[str, float]:
-        return {
-            "position": self.quant_step_position,
-            "feature": self.quant_step_feature,
-            "scale": self.quant_step_scale,
-            "offset": self.quant_step_offset,
-            "mask": self.quant_step_mask,
-            "deform": self.quant_step_deform,
-        }
+        return {family: getattr(self, f"quant_step_{family}") for family in QUANT_FAMILIES}
 
     def to_text(self) -> str:
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
@@ -152,7 +136,7 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def parse_config(text: str) -> RunConfig:

@@ -274,14 +274,26 @@ def first_frame_latency(size_mb: float, bandwidth_mbps: float) -> float:
     lower bound: only transfer time is modeled.
     """
     _check_bandwidth(bandwidth_mbps)
-    if not (size_mb >= 0 and math.isfinite(size_mb)):
-        raise ValueError(f"size must be finite and non-negative, got {size_mb!r}")
+    _check_size(size_mb)
     return 8.0 * size_mb / bandwidth_mbps
 
 
+def _finite(value: float) -> bool:
+    """``math.isfinite``, reading a number too large for a float as infinite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_bandwidth(mbps: float) -> None:
-    if not (mbps > 0 and math.isfinite(mbps)):
+    if not (mbps > 0 and _finite(mbps)):
         raise ValueError(f"bandwidth must be finite and strictly positive, got {mbps!r}")
+
+
+def _check_size(size_mb: float) -> None:
+    if not (size_mb >= 0 and _finite(size_mb)):
+        raise ValueError(f"size must be finite and non-negative, got {size_mb!r}")
 
 
 def _cumulative_bytes(manifest_or_sizes) -> list[int]:
@@ -387,16 +399,14 @@ def latency_table(
         _check_bandwidth(b)
     rows = []
     for i, entry in enumerate(manifests):
-        if isinstance(entry, LayerManifest):
-            size_mb = entry.total_bytes / BYTES_PER_MB
-        else:
-            size_mb = float(entry)
+        size_mb = entry.total_bytes / BYTES_PER_MB if isinstance(entry, LayerManifest) else entry
         label = labels[i] if labels else f"model-{i}"
         try:
+            _check_size(size_mb)
             latencies = [first_frame_latency(size_mb, b) for b in bandwidths]
         except ValueError as exc:
             raise ValueError(f"{label}: {exc}") from None
-        rows.append({"label": label, "size_mb": size_mb, "latency_s": latencies})
+        rows.append({"label": label, "size_mb": float(size_mb), "latency_s": latencies})
     return rows
 
 

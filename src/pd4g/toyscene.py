@@ -21,25 +21,17 @@ from .asset import (
     DeformationTable,
     LocalResiduals,
     MaskBank,
+    MissingLayerError,
     activation_rate,
     check_layer,
-    route_level,
 )
+from .bitstream import DEFAULT_QUANT_STEPS
 from .seeds import counter_uniform, derive_seed, rng_for
 
 PSNR_CAP_DB = 99.0
 _SCALE_FLOOR = 1e-9  # blobs below this width contribute nothing
 
 SCENE_KINDS = ("static", "global-motion", "mixed", "motion-dense")
-
-DEFAULT_QUANT_STEPS = {
-    "position": 1.0 / 16.0,
-    "feature": 1.0 / 16.0,
-    "scale": 1.0 / 16.0,
-    "offset": 1.0 / 16.0,
-    "mask": 1.0 / 256.0,
-    "deform": 1.0 / 16.0,
-}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -126,12 +118,16 @@ def _pairwise_d2(positions: np.ndarray, pixels: np.ndarray) -> np.ndarray:
 class _Splat:
     """The splat kernel: gate -> route -> splat -> clamp for one level and time.
 
-    Routing moves positions and colors only, so they and the squared
-    anchor-pixel distances are fixed at construction; the mask enters through
-    the gated opacity ``alpha = alpha0 * m`` and scale ``s = s0 * m``, which
-    level 2 offsets by its local residuals and clamps to [0, 1] and >= 0.
-    Each anchor splats ``alpha * exp(-d^2 / (2 s^2))`` per pixel, the image is
-    the color-weighted sum, clipped to [0, 1].
+    Routing uses the deformation table at the stored timestep nearest ``t``:
+    level 0 takes the canonical anchors, level 1 adds the global
+    displacement, and level 2 further adds the local position residual and
+    clips ``color + d_color`` to [0, 1]. Routing does not depend on the mask,
+    so positions, colors and the squared anchor-pixel distances are fixed at
+    construction. The mask enters through the gated opacity
+    ``alpha = alpha0 * m`` and scale ``s = s0 * m``, which level 2 offsets by
+    its local residuals and clamps to [0, 1] and >= 0. Each anchor splats
+    ``alpha * exp(-d^2 / (2 s^2))`` per pixel, and the image is the
+    color-weighted sum, clipped to [0, 1].
     """
 
     def __init__(
@@ -142,17 +138,27 @@ class _Splat:
         t: float,
         pixels: np.ndarray,
     ):
-        routed = route_level(anchors, deformations, level, t)
+        level = check_layer(level)
         self.alpha0 = anchors.opacities
         self.scale0 = anchors.scales
-        self.colors = routed.colors
-        self.d2 = _pairwise_d2(routed.positions, pixels)
         self.d_opacity = None
         self.d_scale = None
-        if level == 2:
+        positions, colors = anchors.positions, anchors.colors
+        if level > 0:
+            if deformations is None:
+                raise MissingLayerError(f"level {level} requested but no deformation table is present")
+            if deformations.count != anchors.count:
+                raise ValueError("deformation table anchor count does not match the anchor set")
             k = deformations.nearest_index(t)
-            self.d_opacity = deformations.local.d_opacity[k]
-            self.d_scale = deformations.local.d_scale[k]
+            positions = positions + deformations.displacements[k]
+            if level == 2:
+                loc = deformations.local
+                positions = positions + loc.d_position[k]
+                colors = np.clip(colors + loc.d_color[k], 0.0, 1.0)
+                self.d_opacity = loc.d_opacity[k]
+                self.d_scale = loc.d_scale[k]
+        self.colors = colors
+        self.d2 = _pairwise_d2(positions, pixels)
 
     def attributes(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Gated (and on level 2 clamped) opacity and scale, and their mask derivatives."""

@@ -13,8 +13,10 @@ from pd4g.asset import (
     MissingLayerError,
     activation_rate,
     active_set,
-    route_level,
 )
+from pd4g.toyscene import _pairwise_d2, _pixel_grid, _Splat
+
+PIXELS = _pixel_grid(8, 8)
 
 
 def make_anchors(count=4, dim=2, fdim=3, seed=0):
@@ -133,95 +135,93 @@ class TestActivationRate:
         assert activation_rate(bank) == 0.0
 
 
+def make_splat(anchors, table, level, t):
+    return _Splat(anchors, table, level, t, PIXELS)
+
+
+def with_local(table, **fields):
+    return replace(table, local=replace(table.local, **fields))
+
+
 class TestRouteLevel:
+    """The level routing rule, as the splat kernel applies it."""
+
     def test_level0_is_canonical(self):
         a = make_anchors()
-        table = make_table(a)
-        out = route_level(a, table, 0, 0.7)
-        assert np.array_equal(out.positions, a.positions)
-        assert np.array_equal(out.opacities, a.opacities)
+        splat = make_splat(a, make_table(a), 0, 0.7)
+        bare = make_splat(a, None, 0, 0.7)
+        assert np.array_equal(splat.d2, _pairwise_d2(a.positions, PIXELS))
+        assert np.array_equal(splat.colors, a.colors)
+        mask = np.random.default_rng(2).uniform(0, 1, a.count)
+        assert np.array_equal(splat.image(mask), bare.image(mask))
 
     def test_level1_zero_table_matches_level0(self):
         a = make_anchors()
         table = make_table(a, zero=True)
-        out = route_level(a, table, 1, 0.5)
-        assert np.array_equal(out.positions, a.positions)
-        assert np.array_equal(out.features, a.features)
+        mask = np.random.default_rng(3).uniform(0, 1, a.count)
+        l0 = make_splat(a, table, 0, 0.5).image(mask)
+        assert np.array_equal(make_splat(a, table, 1, 0.5).image(mask), l0)
 
     def test_level1_applies_displacement_at_nearest_timestep(self):
         a = make_anchors()
         table = make_table(a, steps=3)
-        out = route_level(a, table, 1, 0.95)  # nearest stored time is 1.0
-        np.testing.assert_array_equal(out.positions, a.positions + table.displacements[2])
-        np.testing.assert_array_equal(out.features, a.features + table.feature_residuals[2])
+        splat = make_splat(a, table, 1, 0.95)  # nearest stored time is 1.0
+        np.testing.assert_array_equal(splat.d2, _pairwise_d2(a.positions + table.displacements[2], PIXELS))
+        np.testing.assert_array_equal(splat.colors, a.colors)
+
+    def test_level2_adds_local_residuals_at_nearest_timestep(self):
+        a = make_anchors()
+        table = make_table(a, steps=3)
+        splat = make_splat(a, table, 2, 0.3)  # nearest stored time is 0.5
+        positions = a.positions + table.displacements[1] + table.local.d_position[1]
+        np.testing.assert_array_equal(splat.d2, _pairwise_d2(positions, PIXELS))
+        np.testing.assert_array_equal(splat.colors, np.clip(a.colors + table.local.d_color[1], 0, 1))
 
     def test_level2_opacity_annihilation(self):
         a = make_anchors()
         table = make_table(a, zero=True)
-        d_opacity = np.zeros((table.step_count, a.count))
-        d_opacity[:] = -a.opacities[None, :]
-        table = DeformationTable(
-            timesteps=table.timesteps,
-            displacements=table.displacements,
-            feature_residuals=table.feature_residuals,
-            local=LocalResiduals(
-                d_position=table.local.d_position,
-                d_scale=table.local.d_scale,
-                d_opacity=d_opacity,
-                d_color=table.local.d_color,
-            ),
-        )
-        out = route_level(a, table, 2, 0.0)
-        assert np.all(out.opacities == 0)
+        table = with_local(table, d_opacity=np.tile(-a.opacities, (table.step_count, 1)))
+        assert np.all(make_splat(a, table, 2, 0.0).image(np.ones(a.count)) == 0)
 
     def test_level2_equals_level1_when_local_zero(self):
         a = make_anchors()
-        rng = np.random.default_rng(5)
-        steps = 3
-        table = DeformationTable(
-            timesteps=np.linspace(0, 1, steps),
-            displacements=rng.normal(0, 0.2, (steps, a.count, 2)),
-            feature_residuals=rng.normal(0, 0.2, (steps, a.count, a.feature_dim)),
-            local=LocalResiduals(
-                d_position=np.zeros((steps, a.count, 2)),
-                d_scale=np.zeros((steps, a.count)),
-                d_opacity=np.zeros((steps, a.count)),
-                d_color=np.zeros((steps, a.count, 3)),
-            ),
-        )
+        table = replace(make_table(a), local=make_table(a, zero=True).local)
+        mask = np.random.default_rng(5).uniform(0, 1, a.count)
         for t in (0.0, 0.4, 1.0):
-            l1 = route_level(a, table, 1, t)
-            l2 = route_level(a, table, 2, t)
-            assert np.array_equal(l1.positions, l2.positions)
-            assert np.array_equal(l1.opacities, l2.opacities)
-            assert np.array_equal(l1.scales, l2.scales)
+            l1 = make_splat(a, table, 1, t)
+            l2 = make_splat(a, table, 2, t)
+            assert np.array_equal(l1.d2, l2.d2)
+            assert np.array_equal(l1.image(mask), l2.image(mask))
 
     def test_missing_table_raises_for_dynamic_levels(self):
         a = make_anchors()
-        assert route_level(a, None, 0, 0.0) is a
+        make_splat(a, None, 0, 0.0)
         for level in (1, 2):
             with pytest.raises(MissingLayerError):
-                route_level(a, None, level, 0.0)
+                make_splat(a, None, level, 0.0)
 
     def test_level2_clamps(self):
         a = make_anchors()
+        a = replace(a, scales=a.scales / 20)  # small blobs leave most pixels unsaturated
         table = make_table(a, zero=True)
-        local = LocalResiduals(
-            d_position=np.zeros((table.step_count, a.count, 2)),
-            d_scale=np.full((table.step_count, a.count), -10.0),
-            d_opacity=np.full((table.step_count, a.count), 10.0),
-            d_color=np.full((table.step_count, a.count, 3), 10.0),
-        )
-        table = DeformationTable(
-            timesteps=table.timesteps,
-            displacements=table.displacements,
-            feature_residuals=table.feature_residuals,
-            local=local,
-        )
-        out = route_level(a, table, 2, 0.0)
-        assert np.all(out.scales == 0)
-        assert np.all(out.opacities == 1)
-        assert np.all(out.colors == 1)
+        shape = (table.step_count, a.count)
+        ones = np.ones(a.count)
+        vanished = with_local(table, d_scale=np.full(shape, -10.0))
+        assert np.all(make_splat(a, vanished, 2, 0.0).image(ones) == 0)
+        # opacity and color saturate at 1: the image is that of a level-0
+        # render with opacity and color 1
+        saturated = with_local(table, d_opacity=np.full(shape, 10.0), d_color=np.full(shape + (3,), 10.0))
+        white = replace(a, opacities=np.ones(a.count), colors=np.ones((a.count, 3)))
+        image = make_splat(a, saturated, 2, 0.0).image(ones)
+        assert np.array_equal(image, make_splat(white, None, 0, 0.0).image(ones))
+
+    def test_anchor_count_mismatch_raises(self):
+        a = make_anchors(count=4)
+        table = make_table(make_anchors(count=5))
+        make_splat(a, table, 0, 0.0)  # level 0 does not read the table
+        for level in (1, 2):
+            with pytest.raises(ValueError, match="anchor count"):
+                make_splat(a, table, level, 0.0)
 
 
 class TestMaskBank:

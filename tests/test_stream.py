@@ -201,7 +201,7 @@ class TestFirstFrameLatency:
             first_frame_latency(1.0, 0.0)
         with pytest.raises(ValueError):
             first_frame_latency(-1.0, 2.0)
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad in (math.nan, math.inf, -math.inf, 10**400):  # 10**400 overflows a float
             with pytest.raises(ValueError, match=repr(bad)):
                 first_frame_latency(1.0, bad)
             with pytest.raises(ValueError, match=repr(bad)):
@@ -457,9 +457,10 @@ class TestLatencyTable:
         with pytest.raises(ValueError):
             latency_table([1.0], [0.0])
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 10**400], ids=["nan", "inf", "1e400"])
     def test_rejects_non_finite_inputs(self, bad):
         with pytest.raises(ValueError, match=repr(bad)):
             latency_table([], [2.0, bad])
-        with pytest.raises(ValueError, match=f"big: .*{bad!r}"):
-            latency_table([1.0, bad], [2.0], labels=["small", "big"])
+        for bandwidths in ([2.0], []):
+            with pytest.raises(ValueError, match=f"big: .*{bad!r}"):
+                latency_table([1.0, bad], bandwidths, labels=["small", "big"])

@@ -84,6 +84,27 @@ class TestRender:
         img = render(small_scene, bank, 0, 0.0)
         assert np.array_equal(img, np.zeros_like(img))
 
+    def test_render_bytes_pinned(self):
+        # sha256 over every kind, seeds 1-3 (48 anchors, 4 timesteps, 24x24):
+        # ground truth, then render at levels 0-2 and t in {0, 0.3, 1} under
+        # all-ones, uniform and thresholded-uniform masks
+        h = hashlib.sha256()
+        for kind in SCENE_KINDS:
+            for seed in (1, 2, 3):
+                scene = make_scene(kind, 48, 4, seed, image_size=(24, 24))
+                h.update(scene.ground_truth.tobytes())
+                rng = np.random.default_rng(seed)
+                banks = (
+                    MaskBank.all_ones(48),
+                    MaskBank(levels=tuple(rng.uniform(0, 1, (3, 48)))),
+                    MaskBank(levels=tuple((rng.uniform(0, 1, (3, 48)) > 0.5).astype(np.float64))),
+                )
+                for bank in banks:
+                    for level in range(3):
+                        for t in (0.0, 0.3, 1.0):
+                            h.update(render(scene, bank, level, t).tobytes())
+        assert h.hexdigest() == "460a47dc44acad81f9b3a4bb5ca51b9d4ac23726578ebe94c6c40e9d40544ac2"
+
 
 class TestDistortionMetrics:
     def test_identical_images(self):
