@@ -199,6 +199,16 @@ def encode(
     q = config.quant_steps
     if deformations.count != anchors.count or bank.count != anchors.count:
         raise ValueError("anchors, bank and deformation table must agree on anchor count")
+    # the header records the anchors' widths, and the decoder reads every table by them
+    if deformations.feature_residuals.shape[2] != anchors.feature_dim:
+        raise ValueError(
+            f"feature residuals are {deformations.feature_residuals.shape[2]} wide "
+            f"but the anchors' features are {anchors.feature_dim} wide"
+        )
+    if deformations.displacements.shape[2] != anchors.dim:
+        raise ValueError(
+            f"deformation table is {deformations.displacements.shape[2]}-D but the anchors are {anchors.dim}-D"
+        )
 
     act = [active_set(bank.level(level), bank.threshold) for level in range(3)]
     if act[0].size == 0:

@@ -275,7 +275,10 @@ def first_frame_latency(size_mb: float, bandwidth_mbps: float) -> float:
     """
     _check_bandwidth(bandwidth_mbps)
     _check_size(size_mb)
-    return 8.0 * size_mb / bandwidth_mbps
+    latency = 8.0 * size_mb / bandwidth_mbps
+    if not math.isfinite(latency):
+        raise ValueError(f"latency 8 * {size_mb!r} MB / {bandwidth_mbps!r} Mbps overflows a float")
+    return latency
 
 
 def _finite(value: float) -> bool:

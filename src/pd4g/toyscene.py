@@ -111,8 +111,16 @@ def _pixel_grid(width: int, height: int) -> np.ndarray:
 
 
 def _pairwise_d2(positions: np.ndarray, pixels: np.ndarray) -> np.ndarray:
-    diff = positions[:, None, :] - pixels[None, :, :]
-    return np.einsum("vpk,vpk->vp", diff, diff)
+    """Squared distances (V, P), one whole-array pass per coordinate for speed; must equal 0 + d0^2 + d1^2 bit for bit."""
+    if positions.shape[1] != pixels.shape[1]:
+        raise ValueError(f"anchor positions are {positions.shape[1]}-D but the pixel grid is {pixels.shape[1]}-D")
+    d2 = np.subtract.outer(positions[:, 0], pixels[:, 0])
+    d2 *= d2
+    for k in range(1, pixels.shape[1]):
+        dk = np.subtract.outer(positions[:, k], pixels[:, k])
+        dk *= dk
+        d2 += dk
+    return d2
 
 
 class _Splat:
@@ -191,22 +199,6 @@ class _Splat:
         return np.clip(weights.T @ self.colors, 0.0, 1.0)
 
 
-def _image(
-    anchors: AnchorSet,
-    deformations: DeformationTable | None,
-    mask: np.ndarray,
-    level: int,
-    t: float,
-    image_size: tuple[int, int],
-) -> np.ndarray:
-    width, height = image_size
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != (anchors.count,):
-        raise ValueError(f"mask length {mask.shape} does not match anchor count {anchors.count}")
-    splat = _Splat(anchors, deformations, level, t, _pixel_grid(width, height))
-    return splat.image(mask).reshape(height, width, 3)
-
-
 def render(scene: ToyScene, bank: MaskBank, level: int, t: float) -> np.ndarray:
     """Render the scene at one level and time as an (H, W, 3) image in [0, 1].
 
@@ -214,7 +206,12 @@ def render(scene: ToyScene, bank: MaskBank, level: int, t: float) -> np.ndarray:
     prefix, then splatted additively and clamped. Pure and deterministic.
     """
     level = check_layer(level)
-    return _image(scene.anchors, scene.deformations, bank.level(level), level, t, scene.image_size)
+    mask = bank.level(level)
+    if mask.shape != (scene.anchors.count,):
+        raise ValueError(f"mask length {mask.shape} does not match anchor count {scene.anchors.count}")
+    width, height = scene.image_size
+    splat = _Splat(scene.anchors, scene.deformations, level, t, _pixel_grid(width, height))
+    return splat.image(mask).reshape(height, width, 3)
 
 
 def l1_distortion(rendered: np.ndarray, ground_truth: np.ndarray) -> float:
@@ -347,8 +344,10 @@ def make_scene(
         ),
     )
 
+    pixels = _pixel_grid(width, height)
     full_mask = np.ones(count)
-    gt = np.stack([_image(anchors, deformations, full_mask, 2, float(t), (width, height)) for t in times])
+    gt = np.stack([_Splat(anchors, deformations, 2, float(t), pixels).image(full_mask) for t in times])
+    gt = gt.reshape(timesteps, height, width, 3)
     return ToyScene(anchors=anchors, deformations=deformations, image_size=(width, height), ground_truth=gt)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pd4g.acceptance import expected_reconstruction, random_asset
-from pd4g.asset import MaskBank
+from pd4g.asset import AnchorSet, DeformationTable, MaskBank
 from pd4g.bitstream import (
     CHUNK_ENTRY_SIZE,
     HEADER_BASE_SIZE,
@@ -39,6 +39,34 @@ class TestEncode:
         bank = MaskBank(levels=(np.zeros(n), np.ones(n), np.ones(n)))
         with pytest.raises(EmptyBaseLayerError):
             encode(anchors, bank, table)
+
+    def test_feature_width_mismatch_rejected_before_writing(self):
+        # 7-wide residuals against 4-wide features once encoded to 603 bytes
+        # that decode_prefix rejected
+        scene = make_scene("mixed", 8, 2, 1)
+        table = scene.deformations
+        wide = DeformationTable(
+            timesteps=table.timesteps,
+            displacements=table.displacements,
+            feature_residuals=np.zeros((2, 8, 7)),
+            local=table.local,
+        )
+        with pytest.raises(ValueError, match="7 wide.*4 wide"):
+            encode(scene.anchors, MaskBank.all_ones(8), wide)
+
+    def test_spatial_dim_mismatch_rejected_before_writing(self):
+        scene = make_scene("mixed", 8, 2, 1)
+        a = scene.anchors
+        solid = AnchorSet(
+            positions=np.c_[a.positions, np.full(8, 0.5)],
+            features=a.features,
+            scales=a.scales,
+            offsets=np.c_[a.offsets, np.zeros(8)],
+            opacities=a.opacities,
+            colors=a.colors,
+        )
+        with pytest.raises(ValueError, match="2-D.*3-D"):
+            encode(solid, MaskBank.all_ones(8), scene.deformations)
 
     @pytest.mark.parametrize("step", [0.0, -0.5, float("inf"), float("nan"), 1.7e308])
     def test_config_rejects_steps_the_decoder_would(self, step):

@@ -177,6 +177,13 @@ class TestLatencyTable:
         err = capsys.readouterr().err
         assert "a:" in err and size in err
 
+    def test_overflowing_latency_exits_1(self, tmp_path, capsys):
+        sizes = tmp_path / "sizes.csv"
+        sizes.write_text("model,1.0\nhuge,1e308\n")
+        assert main(["latency-table", "--sizes", str(sizes), "--bandwidths", "1e-300"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "huge:" in captured.err and "overflows" in captured.err and captured.out == ""
+
 
 class TestVerifyCommand:
     def test_fast_criteria_pass_and_report_timing(self, capsys):

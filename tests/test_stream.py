@@ -207,6 +207,11 @@ class TestFirstFrameLatency:
             with pytest.raises(ValueError, match=repr(bad)):
                 first_frame_latency(bad, 2.0)
 
+    def test_overflowing_quotient_rejected(self):
+        # both inputs are finite, but 8 * size / bandwidth is not
+        with pytest.raises(ValueError, match="overflows"):
+            first_frame_latency(1e308, 1e-300)
+
     def test_doubling_bandwidth_halves_latency(self):
         for size in (0.436, 6.88, 232.4):
             assert first_frame_latency(size, 4) == pytest.approx(first_frame_latency(size, 2) / 2)
@@ -456,6 +461,10 @@ class TestLatencyTable:
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError):
             latency_table([1.0], [0.0])
+
+    def test_rejects_overflowing_latency(self):
+        with pytest.raises(ValueError, match="model-0: .*overflows"):
+            latency_table([1e308], [1e-300])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 10**400], ids=["nan", "inf", "1e400"])
     def test_rejects_non_finite_inputs(self, bad):

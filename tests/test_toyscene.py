@@ -1,16 +1,21 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pd4g import entropy
 from pd4g.acceptance import _fd_gradient, _rel_err
-from pd4g.asset import DeformationTable, LocalResiduals, MaskBank, MissingLayerError
+from pd4g.asset import AnchorSet, DeformationTable, LocalResiduals, MaskBank, MissingLayerError
+from pd4g.config import load_config
 from pd4g.losses import LossWeights
 from pd4g.rollout import RolloutConfig
 from pd4g.toyscene import (
     SCENE_KINDS,
     ToyScene,
+    _pairwise_d2,
     _pixel_grid,
     _render_gradient,
     _Splat,
@@ -105,6 +110,49 @@ class TestRender:
                             h.update(render(scene, bank, level, t).tobytes())
         assert h.hexdigest() == "460a47dc44acad81f9b3a4bb5ca51b9d4ac23726578ebe94c6c40e9d40544ac2"
 
+    def test_render_rejects_anchors_of_another_dimension(self):
+        rng = np.random.default_rng(4)
+        anchors = AnchorSet(
+            positions=rng.uniform(0, 1, (6, 3)),
+            features=np.zeros((6, 2)),
+            scales=np.full(6, 0.05),
+            offsets=np.zeros((6, 3)),
+            opacities=np.full(6, 0.8),
+            colors=np.full((6, 3), 0.5),
+        )
+        scene = ToyScene(anchors=anchors, deformations=None, image_size=(8, 8), ground_truth=np.zeros((1, 8, 8, 3)))
+        with pytest.raises(ValueError, match="3-D.*2-D"):
+            render(scene, MaskBank.all_ones(6), 0, 0.0)
+
+
+def _einsum_d2(positions, pixels):
+    # the formula _pairwise_d2 replaced, kept as its bit-for-bit reference
+    diff = positions[:, None, :] - pixels[None, :, :]
+    return np.einsum("vpk,vpk->vp", diff, diff)
+
+
+class TestPairwiseD2:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        anchors=st.integers(1, 300),
+        pixel_count=st.integers(1, 300),
+        log_scale=st.floats(-3.0, 2.0),
+        far=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(anchors=1, pixel_count=257, log_scale=0.0, far=False, seed=0)
+    @example(anchors=300, pixel_count=1, log_scale=-3.0, far=True, seed=1)
+    @example(anchors=1, pixel_count=1, log_scale=2.0, far=True, seed=2)
+    def test_bit_identical_to_einsum(self, anchors, pixel_count, log_scale, far, seed):
+        rng = np.random.default_rng(seed)
+        # far: the anchors sit up to 100 units outside the unit square
+        center = rng.uniform(-100.0, 100.0, 2) if far else np.full(2, 0.5)
+        positions = center + 10.0**log_scale * rng.uniform(-1.0, 1.0, (anchors, 2))
+        pixels = rng.uniform(0.0, 1.0, (pixel_count, 2))
+        got, want = _pairwise_d2(positions, pixels), _einsum_d2(positions, pixels)
+        assert got.shape == want.shape == (anchors, pixel_count)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestDistortionMetrics:
     def test_identical_images(self):
@@ -167,6 +215,29 @@ class TestMakeScene:
             bank = MaskBank.all_ones(16)
             for i, t in enumerate(scene.deformations.timesteps):
                 assert render(scene, bank, 2, float(t)).tobytes() == scene.ground_truth[i].tobytes()
+
+    def test_ground_truth_pinned_at_benchmark_shapes(self):
+        # codec-stress shape (motion-dense, 1024 anchors, 32 timesteps, 8x8)
+        # and configs/motion_dense.cfg (64 anchors, 4 timesteps, 32x32)
+        stress = make_scene("motion-dense", 1024, 32, 7, image_size=(8, 8))
+        assert (
+            hashlib.sha256(stress.ground_truth.tobytes()).hexdigest()
+            == "99efa5e4ad9262c40a4150fd167cf90ff2da6e4712465c51f13c8e022d66af10"
+        )
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "motion_dense.cfg")
+        dense = make_scene(
+            cfg.scene_kind,
+            cfg.anchor_count,
+            cfg.timestep_count,
+            cfg.seed,
+            image_size=(cfg.image_width, cfg.image_height),
+            feature_dim=cfg.feature_dim,
+        )
+        assert dense.ground_truth.shape == (4, 32, 32, 3)
+        assert (
+            hashlib.sha256(dense.ground_truth.tobytes()).hexdigest()
+            == "fe1c6dc00451b4cb7b996b8d8031fda343d35851f605c2f4f6f7df044082cd16"
+        )
 
     def test_parameter_domains(self):
         with pytest.raises(ValueError):
