@@ -6,6 +6,9 @@ failure). Training-backed criteria share the in-process cache, so the whole
 module costs a handful of desk-scale training runs.
 """
 
+import hashlib
+
+import pytest
 
 from pd4g import acceptance
 
@@ -59,6 +62,27 @@ def test_criterion_10_rate_coder_correlation():
 
 def test_criterion_11_simulator_exactness():
     _run(11)
+
+
+# sha256 prefixes of (mask bytes, loss_curve_csv(), to_json()) of two
+# acceptance runs, recorded before the config -> call wiring moved into
+# RunConfig; criteria 6 and 9 train the same runs, so they come from the cache
+PINNED_TRAINED = [
+    (("motion-dense", 101), {}, ("18d1d0ba7987257e", "1b7265b1fec01efa", "2c17dfb5fa5f5d8d")),
+    (
+        ("mixed", 301),
+        {"binary_weight": 0.0, "steps": 6000, "learning_rate": 0.5},
+        ("17ba085523e4a6b8", "44c6a030bc9b8e4e", "9ea70f41b1b6f195"),
+    ),
+]
+
+
+@pytest.mark.parametrize("args, kwargs, expected", PINNED_TRAINED)
+def test_trained_runs_pinned(args, kwargs, expected):
+    _, bank, report = acceptance.trained(*args, **kwargs)
+    masks = b"".join(bank.level(level).tobytes() for level in range(3))
+    texts = (masks, report.loss_curve_csv().encode(), report.to_json().encode())
+    assert tuple(hashlib.sha256(t).hexdigest()[:16] for t in texts) == expected
 
 
 class TestHarnessSanity:

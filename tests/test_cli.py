@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -45,6 +46,18 @@ class TestTrain:
         assert report["final_activation_ema"] < 0.1
         assert (out / "loss_curve.csv").exists()
         assert (out / "masks.json").exists()
+
+    def test_artifacts_pinned(self, trained_dir):
+        # sha256 prefixes recorded before the config -> call wiring moved into RunConfig
+        _, out = trained_dir
+        pinned = {
+            "masks.json": "b940e2f9eb286079",
+            "report.json": "103b358eaa5b8ce1",
+            "loss_curve.csv": "0694088f1dcbaae1",
+            "asset.pd4g": "ad9a711c349050f2",
+        }
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16] for name in pinned}
+        assert digests == pinned
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
