@@ -3,33 +3,28 @@
 Each criterion is a standalone function returning (passed, details); the
 registry runs them all with wall-clock accounting. Training-based checks
 share one in-process cache so repeated verification stays affordable.
-Desk-scale training runs use a shortened schedule (fewer steps, faster mask
-learning rate, tighter scheduler cadence) than the published full-scale
-constants; the loss weights and threshold are the published values.
+They train ``ACCEPT_RUN``: ``RunConfig``'s desk-scale defaults, with the
+published loss weights and threshold, and a tighter scheduler cadence (sample
+period 25, warm-up 400) than the published full-scale constants.
 """
 
 from __future__ import annotations
 
 import lzma
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from . import bitstream, entropy, losses, rollout, stream, toyscene
-from .asset import AnchorSet, DeformationTable, LocalResiduals, MaskBank
+from .asset import MASK_THRESHOLD, AnchorSet, DeformationTable, LocalResiduals, MaskBank
+from .config import RunConfig
 
 # --- desk-scale training setup shared by the training-based criteria
-ACCEPT_IMAGE = (32, 32)
-ACCEPT_ANCHORS = 64
-ACCEPT_TIMESTEPS = 4
-ACCEPT_STEPS = 4000
-ACCEPT_LR = 0.4
-ACCEPT_PROGRESSIVE_START = 400
+ACCEPT_RUN = RunConfig(sample_period=25, warmup_steps=400)
 ACCEPT_TRAIN_SEED = 11
-ACCEPT_ROLLOUT = rollout.RolloutConfig(sample_period=25, warmup_steps=400)
 MOTION_SEEDS = (101, 102, 103)
 SWEEP_SEED = 201
 TMC_SEEDS = (301, 302)
@@ -64,29 +59,25 @@ def trained(
     kind: str,
     scene_seed: int,
     *,
-    lambda_layer0: float = 0.04,
-    binary_weight: float = 1.0,
-    steps: int = ACCEPT_STEPS,
-    learning_rate: float = ACCEPT_LR,
+    lambda_layer0: float = ACCEPT_RUN.lambda_layer0,
+    binary_weight: float = ACCEPT_RUN.binary_weight,
+    steps: int = ACCEPT_RUN.train_steps,
+    learning_rate: float = ACCEPT_RUN.learning_rate,
 ) -> tuple[toyscene.ToyScene, MaskBank, toyscene.TrainReport]:
-    """Train (or fetch from cache) one acceptance-scale configuration."""
+    """Train (or fetch from cache) ``ACCEPT_RUN`` with these fields overridden."""
     key = (kind, scene_seed, lambda_layer0, binary_weight, steps, learning_rate)
     if key not in _TRAIN_CACHE:
-        scene = toyscene.make_scene(
-            kind, ACCEPT_ANCHORS, ACCEPT_TIMESTEPS, scene_seed, image_size=ACCEPT_IMAGE
-        )
-        weights = losses.LossWeights(
-            lambda_layer=(lambda_layer0, 0.01, 0.00025), binary_weight=binary_weight
-        )
-        bank, report = toyscene.train_masks(
-            scene,
-            weights,
-            ACCEPT_ROLLOUT,
-            steps=steps,
-            seed=ACCEPT_TRAIN_SEED,
+        cfg = replace(
+            ACCEPT_RUN,
+            scene_kind=kind,
+            seed=scene_seed,
+            lambda_layer0=lambda_layer0,
+            binary_weight=binary_weight,
+            train_steps=steps,
             learning_rate=learning_rate,
-            progressive_start=ACCEPT_PROGRESSIVE_START,
         )
+        scene = cfg.make_scene()
+        bank, report = cfg.train_masks(scene, ACCEPT_TRAIN_SEED)
         _TRAIN_CACHE[key] = (scene, bank, report)
     return _TRAIN_CACHE[key]
 
@@ -250,7 +241,7 @@ def criterion_gradients(configs: int = 100) -> tuple[bool, str]:
         def objective(term, m):
             bits = None
             if term == "rate":
-                bits = entropy.per_anchor_bits(anchors, entropy.family_priors(anchors, m > 0.01, quant))
+                bits = entropy.per_anchor_bits(anchors, entropy.family_priors(anchors, m > MASK_THRESHOLD, quant))
             return losses.level_loss(0.0, m, 0, terms[term], anchors.positions, pairs, bits)
 
         for term in terms:
@@ -465,9 +456,9 @@ def criterion_rate_coder_correlation(points: int = 20) -> tuple[bool, str]:
         prior = entropy.estimate_prior(values, np.ones(values.size, dtype=bool), q)
         modeled.append(float(np.sum(entropy.bit_cost(values, prior))))
         indices = entropy.quantize_array(values, q)
-        width = 2 if np.abs(indices).max() < 2**15 else 4
+        width = bitstream._collect_chunk_ints([indices])
         payload = bitstream._pack(indices, f"<i{width}")
-        actual.append(len(lzma.compress(payload, preset=6)))
+        actual.append(len(lzma.compress(payload, preset=bitstream.DEFAULT_PRESET)))
     corr = float(stats.spearmanr(modeled, actual).statistic)
     if corr < 0.9:
         return False, f"Spearman correlation {corr:.3f} < 0.9"

@@ -17,6 +17,7 @@ import numpy as np
 
 
 LAYER_COUNT = 3
+MASK_THRESHOLD = 0.01  # published hard activation cut on trained masks
 
 
 class MissingLayerError(ValueError):
@@ -107,7 +108,7 @@ class MaskBank:
     """
 
     levels: tuple[np.ndarray, np.ndarray, np.ndarray]
-    threshold: float = 0.01
+    threshold: float = MASK_THRESHOLD
 
     def __post_init__(self):
         if len(self.levels) != LAYER_COUNT:
@@ -128,7 +129,7 @@ class MaskBank:
         return self.levels[check_layer(level)]
 
     @staticmethod
-    def all_ones(count: int, threshold: float = 0.01) -> "MaskBank":
+    def all_ones(count: int, threshold: float = MASK_THRESHOLD) -> "MaskBank":
         ones = np.ones(count)
         return MaskBank(levels=(ones, ones.copy(), ones.copy()), threshold=threshold)
 

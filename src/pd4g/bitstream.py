@@ -281,7 +281,7 @@ def _parse_header(data: bytes):
         off += 8
     (chunk_count,) = struct.unpack_from("<B", data, off)
     off += 1
-    if chunk_count > 3:
+    if not 0 < chunk_count <= 3:
         raise FormatError(f"chunk table claims {chunk_count} chunks")
     table_end = off + chunk_count * CHUNK_ENTRY_SIZE
     if len(data) < table_end:

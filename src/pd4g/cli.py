@@ -57,17 +57,6 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _build_scene(cfg: RunConfig) -> toyscene.ToyScene:
-    return toyscene.make_scene(
-        cfg.scene_kind,
-        cfg.anchor_count,
-        cfg.timestep_count,
-        cfg.seed,
-        image_size=(cfg.image_width, cfg.image_height),
-        feature_dim=cfg.feature_dim,
-    )
-
-
 def _bank_to_json(bank: MaskBank) -> str:
     payload = {
         "threshold": bank.threshold,
@@ -87,19 +76,9 @@ def _bank_from_json(path: Path) -> MaskBank:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     out = _out_dir(cfg)
-    scene = _build_scene(cfg)
+    scene = cfg.make_scene()
     try:
-        bank, report = toyscene.train_masks(
-            scene,
-            cfg.loss_weights(),
-            cfg.rollout_config(),
-            steps=cfg.train_steps,
-            seed=cfg.seed,
-            learning_rate=cfg.learning_rate,
-            progressive_start=cfg.progressive_start_step,
-            threshold=cfg.mask_threshold,
-            quant_steps=cfg.quant_steps(),
-        )
+        bank, report = cfg.train_masks(scene, cfg.seed)
     except toyscene.TrainingDivergedError as exc:
         raise _CliError(EXIT_RUNTIME, str(exc)) from exc
     (out / "report.json").write_text(report.to_json())
@@ -119,7 +98,7 @@ def cmd_encode(args) -> int:
     bank_path = Path(args.masks) if args.masks else out / "masks.json"
     if not bank_path.exists():
         raise _CliError(EXIT_RUNTIME, f"mask bank not found: {bank_path}")
-    scene = _build_scene(cfg)
+    scene = cfg.make_scene()
     bank = _bank_from_json(bank_path)
     encode_cfg = bitstream.EncodeConfig(quant_steps=cfg.quant_steps(), preset=cfg.compressor_preset)
     try:

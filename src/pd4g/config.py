@@ -1,10 +1,10 @@
 """Flat, typed key=value run configuration.
 
 One line per key (``key = value``, '#' comments), every key validated against
-a registry with explicit units in the names. Defaults follow the published
-training constants (rate weights, temporal weight, scheduler constants,
-activation threshold); the desk-scale schedule knobs (steps, learning rate)
-default to values that converge on toy scenes in under a minute.
+a registry with explicit units in the names. Published constants are read
+from their owners (``LossWeights``, ``RolloutConfig``, ``asset``,
+``bitstream``), never restated; the desk-scale schedule knobs (steps, learning
+rate) default to values that converge on toy scenes in under a minute.
 """
 
 from __future__ import annotations
@@ -13,10 +13,14 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .bitstream import DEFAULT_QUANT_STEPS, QUANT_FAMILIES, usable_quant_step
+from . import toyscene
+from .asset import MASK_THRESHOLD, MaskBank
+from .bitstream import DEFAULT_PRESET, DEFAULT_QUANT_STEPS, QUANT_FAMILIES, usable_quant_step
 from .losses import LossWeights
 from .rollout import RolloutConfig
-from .toyscene import SCENE_KINDS
+
+_LOSS = LossWeights()
+_ROLLOUT = RolloutConfig()
 
 
 class ConfigError(ValueError):
@@ -25,7 +29,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Everything a reproducible train/encode/simulate pipeline needs."""
+    """Everything a reproducible pipeline needs, and the one mapping onto its calls."""
 
     seed: int = 0
     scene_kind: str = "mixed"
@@ -35,22 +39,22 @@ class RunConfig:
     image_height: int = 32
     feature_dim: int = 4
 
-    lambda_layer0: float = 0.04
-    lambda_layer1: float = 0.01
-    lambda_layer2: float = 0.00025
-    lambda_temporal: float = 0.01
-    binary_weight: float = 1.0
-    smooth_weight: float = 1.0
-    tau_scene_units: float = 0.1
-    pair_factor: int = 4
-    mask_threshold: float = 0.01
+    lambda_layer0: float = _LOSS.lambda_layer[0]
+    lambda_layer1: float = _LOSS.lambda_layer[1]
+    lambda_layer2: float = _LOSS.lambda_layer[2]
+    lambda_temporal: float = _LOSS.lambda_temporal
+    binary_weight: float = _LOSS.binary_weight
+    smooth_weight: float = _LOSS.smooth_weight
+    tau_scene_units: float = _LOSS.tau
+    pair_factor: int = _LOSS.pair_factor
+    mask_threshold: float = MASK_THRESHOLD
 
-    pi_aggressive0: float = 0.15
-    pi_aggressive1: float = 0.30
-    pi_aggressive2: float = 0.55
-    ema_alpha: float = 0.05
-    sample_period: int = 200
-    warmup_steps: int = 2000
+    pi_aggressive0: float = _ROLLOUT.aggressive_weights[0]
+    pi_aggressive1: float = _ROLLOUT.aggressive_weights[1]
+    pi_aggressive2: float = _ROLLOUT.aggressive_weights[2]
+    ema_alpha: float = _ROLLOUT.ema_alpha
+    sample_period: int = _ROLLOUT.sample_period
+    warmup_steps: int = _ROLLOUT.warmup_steps
 
     train_steps: int = 4000
     progressive_start_step: int = 400
@@ -62,13 +66,13 @@ class RunConfig:
     quant_step_offset: float = DEFAULT_QUANT_STEPS["offset"]
     quant_step_mask: float = DEFAULT_QUANT_STEPS["mask"]
     quant_step_deform: float = DEFAULT_QUANT_STEPS["deform"]
-    compressor_preset: int = 6
+    compressor_preset: int = DEFAULT_PRESET
 
     out_dir: str = "out"
 
     def validate(self) -> None:
-        if self.scene_kind not in SCENE_KINDS:
-            raise ConfigError(f"scene_kind must be one of {SCENE_KINDS}, got {self.scene_kind!r}")
+        if self.scene_kind not in toyscene.SCENE_KINDS:
+            raise ConfigError(f"scene_kind must be one of {toyscene.SCENE_KINDS}, got {self.scene_kind!r}")
         if not (4 <= self.anchor_count <= 1024):
             raise ConfigError("anchor_count must lie in [4, 1024]")
         if not (1 <= self.timestep_count <= 32):
@@ -129,6 +133,29 @@ class RunConfig:
 
     def quant_steps(self) -> dict[str, float]:
         return {family: getattr(self, f"quant_step_{family}") for family in QUANT_FAMILIES}
+
+    def make_scene(self) -> toyscene.ToyScene:
+        return toyscene.make_scene(
+            self.scene_kind,
+            self.anchor_count,
+            self.timestep_count,
+            self.seed,
+            image_size=(self.image_width, self.image_height),
+            feature_dim=self.feature_dim,
+        )
+
+    def train_masks(self, scene: toyscene.ToyScene, seed: int) -> tuple[MaskBank, toyscene.TrainReport]:
+        return toyscene.train_masks(
+            scene,
+            self.loss_weights(),
+            self.rollout_config(),
+            steps=self.train_steps,
+            seed=seed,
+            learning_rate=self.learning_rate,
+            progressive_start=self.progressive_start_step,
+            threshold=self.mask_threshold,
+            quant_steps=self.quant_steps(),
+        )
 
     def to_text(self) -> str:
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import entropy, losses, rollout
 from .asset import (
+    MASK_THRESHOLD,
     AnchorSet,
     DeformationTable,
     LocalResiduals,
@@ -381,7 +382,7 @@ def train_masks(
     *,
     learning_rate: float = 0.05,
     progressive_start: int = 1000,
-    threshold: float = 0.01,
+    threshold: float = MASK_THRESHOLD,
     quant_steps: dict[str, float] | None = None,
 ) -> tuple[MaskBank, TrainReport]:
     """Train the per-level masks end to end and report convergence statistics.

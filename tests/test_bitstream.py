@@ -132,9 +132,10 @@ class TestManifest:
     def test_malformed_table_rejected(self, asset):
         anchors, bank, table = asset
         blob = bytearray(encode(anchors, bank, table))
-        blob[64] = 7  # absurd chunk count
-        with pytest.raises(FormatError):
-            manifest(bytes(blob))
+        for chunk_count in (7, 0):  # FORMAT.md requires 0 < N <= 3
+            blob[64] = chunk_count
+            with pytest.raises(FormatError):
+                manifest(bytes(blob))
 
     def test_base_only_prefix_lists_one_entry(self, asset):
         anchors, bank, table = asset

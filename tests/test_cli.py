@@ -154,6 +154,17 @@ class TestSimulate:
         assert "first_frame_time_s" in capsys.readouterr().err
         assert not (sim_out / "timeline.json").exists()
 
+    def test_zero_chunk_container_is_unreadable(self, trained_dir, tmp_path, capsys):
+        _, out = trained_dir
+        blob = bytearray((out / "asset.pd4g").read_bytes())
+        blob[64] = 0  # chunk count; FORMAT.md requires 0 < N <= 3
+        container = tmp_path / "empty.pd4g"
+        container.write_bytes(bytes(blob))
+        trace = tmp_path / "trace.csv"
+        trace.write_text("10,2\n")
+        assert main(["simulate", str(container), str(trace), "--out", str(tmp_path / "sim")]) == EXIT_RUNTIME
+        assert "unreadable container" in capsys.readouterr().err
+
     def test_malformed_trace_names_line(self, trained_dir, tmp_path, capsys):
         _, out = trained_dir
         trace = tmp_path / "bad.csv"
