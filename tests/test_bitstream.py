@@ -28,6 +28,30 @@ def asset():
     return random_asset(np.random.default_rng(7))
 
 
+def _pinned_container(source) -> bytes:
+    """A random asset's container for an int seed, or a 40-anchor motion-dense scene with uniform masks."""
+    if source == "motion-dense":
+        scene = make_scene("motion-dense", 40, 4, seed=5, image_size=(16, 16))
+        bank = MaskBank(levels=tuple(np.random.default_rng(5).uniform(0, 1, (3, 40))))
+        return encode(scene.anchors, bank, scene.deformations)
+    return encode(*random_asset(np.random.default_rng(source)))
+
+
+def _decoded_digest(decoded) -> str:
+    """sha256 prefix over every decoded array (dtype, shape and bytes) and the scalar fields."""
+    h = hashlib.sha256()
+    a = decoded.anchors
+    arrays = [decoded.anchor_indices, a.positions, a.features, a.scales, a.offsets, a.opacities, a.colors]
+    arrays += decoded.bank.levels
+    if decoded.deformations is not None:
+        t = decoded.deformations
+        arrays += [t.timesteps, t.displacements, t.feature_residuals, *vars(t.local).values()]
+    for arr in arrays:
+        h.update(arr.dtype.str.encode() + repr(arr.shape).encode() + np.ascontiguousarray(arr).tobytes())
+    h.update(repr((decoded.max_level, decoded.original_count, decoded.bank.threshold)).encode())
+    return h.hexdigest()[:16]
+
+
 class TestEncode:
     def test_deterministic(self, asset):
         anchors, bank, table = asset
@@ -85,13 +109,24 @@ class TestEncode:
         ],
     )
     def test_container_bytes_are_pinned(self, source, digest):
-        if source == "motion-dense":
-            scene = make_scene("motion-dense", 40, 4, seed=5, image_size=(16, 16))
-            bank = MaskBank(levels=tuple(np.random.default_rng(5).uniform(0, 1, (3, 40))))
-            blob = encode(scene.anchors, bank, scene.deformations)
-        else:
-            blob = encode(*random_asset(np.random.default_rng(source)))
-        assert hashlib.sha256(blob).hexdigest() == digest
+        assert hashlib.sha256(_pinned_container(source)).hexdigest() == digest
+
+    # sha256 prefixes of the decoded values at each layer boundary of the
+    # pinned containers, recorded with container version 1; a container
+    # layout change must leave every decoded value as it was
+    @pytest.mark.parametrize(
+        "source, digests",
+        [
+            (3, ["0b1ccea04532561a", "ce046563c78af7ea", "1dc62d65329bbbb3"]),
+            (7, ["61ae3aad0d1d46d1", "1a1baea023a7cdf5", "183806043d5a4a06"]),
+            (11, ["8a184d614d1542ae", "cfcc2d47d08da6cd", "1c747c231203deea"]),
+            ("motion-dense", ["2644f52e6727c8c2", "b74967b5103c5b7a", "4bbc69ae877f9099"]),
+        ],
+    )
+    def test_decoded_values_are_pinned(self, source, digests):
+        blob = _pinned_container(source)
+        got = [_decoded_digest(decode_prefix(blob[:end])) for end in manifest(blob).cumulative_sizes]
+        assert got == digests
 
     def test_zero_tables_still_emit_all_chunks(self):
         scene = make_scene("static", 12, 2, seed=1, image_size=(12, 12))
