@@ -10,7 +10,6 @@ period 25, warm-up 400) than the published full-scale constants.
 
 from __future__ import annotations
 
-import lzma
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -456,9 +455,7 @@ def criterion_rate_coder_correlation(points: int = 20) -> tuple[bool, str]:
         prior = entropy.estimate_prior(values, np.ones(values.size, dtype=bool), q)
         modeled.append(float(np.sum(entropy.bit_cost(values, prior))))
         indices = entropy.quantize_array(values, q)
-        width = bitstream._collect_chunk_ints([indices])
-        payload = bitstream._pack(indices, f"<i{width}")
-        actual.append(len(lzma.compress(payload, preset=bitstream.DEFAULT_PRESET)))
+        actual.append(len(bitstream.compress_chunk(bitstream.pack_ints(indices), bitstream.DEFAULT_PRESET)))
     corr = float(stats.spearmanr(modeled, actual).statistic)
     if corr < 0.9:
         return False, f"Spearman correlation {corr:.3f} < 0.9"

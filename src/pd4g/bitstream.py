@@ -4,8 +4,10 @@ The container concatenates up to three independently compressed chunks in
 layer order behind a fixed header and chunk table, so that any byte prefix
 ending at a chunk boundary decodes to a renderable model at some level.
 Continuous attributes are stored as quantization indices (reconstruction is
-``index * step`` exactly); each chunk carries a CRC32 over its decompressed
-payload. See FORMAT.md for the byte-level layout.
+``index * step`` exactly), each index array at the narrowest width that holds
+it. Each chunk is a raw LZMA2 stream with a CRC32 over its decompressed
+payload, and a CRC32 guards the header and chunk table. See FORMAT.md for the
+byte-level layout.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import lzma
 import math
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 from typing import Optional
@@ -23,10 +26,13 @@ from .asset import AnchorSet, DeformationTable, LocalResiduals, MaskBank, active
 from .entropy import quantize_array
 
 MAGIC = b"PD4G"
-VERSION = 1
+VERSION = 2
 HEADER_BASE_SIZE = 65  # magic..quant steps + chunk count
-CHUNK_ENTRY_SIZE = 22
+CHUNK_ENTRY_SIZE = 21
+HEADER_CRC_SIZE = 4
 DEFAULT_PRESET = 6
+DICT_SIZE = 2**20  # every chunk's LZMA2 dictionary, whatever the preset
+INT_WIDTHS = (1, 2, 4)
 
 QUANT_FAMILIES = ("position", "feature", "scale", "offset", "mask", "deform")
 DEFAULT_QUANT_STEPS = {
@@ -89,7 +95,6 @@ class EncodeConfig:
 @dataclass(frozen=True)
 class ChunkInfo:
     layer: int
-    index_width: int
     raw_length: int
     compressed_length: int
     crc32: int
@@ -160,16 +165,25 @@ def _pack(values, dtype: str) -> bytes:
     return np.ascontiguousarray(values, dtype=dtype).tobytes()
 
 
-def _collect_chunk_ints(parts: list[np.ndarray]) -> int:
-    """Index width (2 or 4 bytes) needed by the signed ints of one chunk."""
-    lo, hi = 0, 0
-    for arr in parts:
-        if arr.size:
-            lo = min(lo, int(arr.min()))
-            hi = max(hi, int(arr.max()))
-    if -(2**15) <= lo and hi < 2**15:
-        return 2
-    return 4
+def pack_ints(values: np.ndarray) -> bytes:
+    """A signed-int array as FORMAT.md stores it: one width byte, then the ints at that width.
+
+    The width is the smallest of 1, 2 or 4 bytes that holds the array's
+    minimum and maximum (1 for an empty array).
+    """
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    width = next(w for w in INT_WIDTHS if -(2 ** (8 * w - 1)) <= lo and hi < 2 ** (8 * w - 1))
+    return bytes([width]) + _pack(values, f"<i{width}")
+
+
+def _filters(preset: int) -> list[dict]:
+    """The LZMA2 filter chain of every chunk: the preset's settings with the fixed dictionary size."""
+    return [{"id": lzma.FILTER_LZMA2, "preset": preset, "dict_size": DICT_SIZE}]
+
+
+def compress_chunk(raw: bytes, preset: int) -> bytes:
+    """One chunk payload as a raw LZMA2 stream."""
+    return lzma.compress(raw, format=lzma.FORMAT_RAW, filters=_filters(preset))
 
 
 def _level_tables(deformations: DeformationTable, level: int) -> tuple[np.ndarray, ...]:
@@ -215,7 +229,6 @@ def encode(
         raise EmptyBaseLayerError("no anchor exceeds the base-layer mask threshold")
 
     chunks: list[bytes] = []
-    widths: list[int] = []
     for level, idx in enumerate(act):
         # layer 0 carries a record for each member; higher layers refer to the
         # records layer 0 carries and add supplemental records for the rest
@@ -231,15 +244,13 @@ def encode(
             quantize_array(bank.level(level)[idx], q["mask"]),
             *(quantize_array(t[:, idx], q["deform"]) for t in _level_tables(deformations, level)),
         ]
-        width = _collect_chunk_ints(records + ints)
         counts = [supp.size] if level == 0 else [shared.size, supp.size]
         body = [_pack(deformations.timesteps, "<f8")] if level == 1 else []
         body += [_pack(counts, "<u4"), _pack(np.searchsorted(act[0], shared), "<u4"), _pack(supp, "<u4")]
-        body += [_pack(a, f"<i{width}") for a in records]
+        body += [pack_ints(a) for a in records]
         body += [_pack(anchors.opacities[supp], "<f4"), _pack(anchors.colors[supp], "<f4")]
-        body += [_pack(a, f"<i{width}") for a in ints]
+        body += [pack_ints(a) for a in ints]
         chunks.append(b"".join(body))
-        widths.append(width)
 
     # --- header + chunk table + compressed payload
     header = [
@@ -249,12 +260,13 @@ def encode(
         *(struct.pack("<d", q[fam]) for fam in QUANT_FAMILIES),
         struct.pack("<B", len(chunks)),
     ]
-    compressed = [lzma.compress(c, preset=config.preset) for c in chunks]
+    compressed = [compress_chunk(c, config.preset) for c in chunks]
     table = [
-        struct.pack("<BBQQI", layer, width, len(raw), len(comp), zlib.crc32(raw) & 0xFFFFFFFF)
-        for layer, (raw, comp, width) in enumerate(zip(chunks, compressed, widths))
+        struct.pack("<BQQI", layer, len(raw), len(comp), zlib.crc32(raw) & 0xFFFFFFFF)
+        for layer, (raw, comp) in enumerate(zip(chunks, compressed))
     ]
-    return b"".join(header + table + compressed)
+    head = b"".join(header + table)
+    return head + struct.pack("<I", zlib.crc32(head) & 0xFFFFFFFF) + b"".join(compressed)
 
 
 def _parse_header(data: bytes):
@@ -265,48 +277,44 @@ def _parse_header(data: bytes):
     version, preset, flags, dim = struct.unpack_from("<BBBB", data, 4)
     if version != VERSION:
         raise FormatError(f"unsupported container version {version}")
+    chunk_count = data[HEADER_BASE_SIZE - 1]
+    if not 0 < chunk_count <= 3:
+        raise FormatError(f"chunk table claims {chunk_count} chunks")
+    table_end = HEADER_BASE_SIZE + chunk_count * CHUNK_ENTRY_SIZE
+    if len(data) < table_end + HEADER_CRC_SIZE:
+        raise TruncatedStreamError("stream ends inside the chunk table")
+    if zlib.crc32(data[:table_end]) & 0xFFFFFFFF != struct.unpack_from("<I", data, table_end)[0]:
+        raise FormatError("header and chunk table fail their CRC32")
+    if preset > 9:
+        raise FormatError(f"compressor preset {preset} is not in 0..9")
     if flags != 0:
         raise FormatError(f"reserved flags byte is 0x{flags:02x}; it must be 0")
     if dim not in (2, 3):
         raise FormatError(f"spatial dimension {dim} is not 2 or 3")
     count, feature_dim, step_count = struct.unpack_from("<IHH", data, 8)
-    quant = {}
-    off = 16
-    for fam in QUANT_FAMILIES:
-        (quant[fam],) = struct.unpack_from("<d", data, off)
-        if not usable_quant_step(quant[fam]):
+    quant = dict(zip(QUANT_FAMILIES, struct.unpack_from(f"<{len(QUANT_FAMILIES)}d", data, 16)))
+    for fam, step in quant.items():
+        if not usable_quant_step(step):
             raise FormatError(
-                f"quantization step for {fam!r} is {quant[fam]!r}; it must be positive and finite, also times 2**31"
+                f"quantization step for {fam!r} is {step!r}; it must be positive and finite, also times 2**31"
             )
-        off += 8
-    (chunk_count,) = struct.unpack_from("<B", data, off)
-    off += 1
-    if not 0 < chunk_count <= 3:
-        raise FormatError(f"chunk table claims {chunk_count} chunks")
-    table_end = off + chunk_count * CHUNK_ENTRY_SIZE
-    if len(data) < table_end:
-        raise TruncatedStreamError("stream ends inside the chunk table")
-    chunks = []
-    for i in range(chunk_count):
-        layer, width, raw_len, comp_len, crc = struct.unpack_from(
-            "<BBQQI", data, off + i * CHUNK_ENTRY_SIZE
-        )
-        if layer != i:
-            raise FormatError(f"chunk {i} labeled layer {layer}; layers must start at 0 and ascend")
-        if width not in (2, 4):
-            raise FormatError(f"unsupported index width {width}")
-        chunks.append(ChunkInfo(layer, width, raw_len, comp_len, crc))
-    header = {
+    chunks = [
+        ChunkInfo(*struct.unpack_from("<BQQI", data, HEADER_BASE_SIZE + i * CHUNK_ENTRY_SIZE))
+        for i in range(chunk_count)
+    ]
+    for i, info in enumerate(chunks):
+        if info.layer != i:
+            raise FormatError(f"chunk {i} labeled layer {info.layer}; layers must start at 0 and ascend")
+    return {
         "preset": preset,
         "dim": dim,
         "count": count,
         "feature_dim": feature_dim,
         "step_count": step_count,
         "quant": quant,
-        "header_bytes": table_end,
+        "header_bytes": table_end + HEADER_CRC_SIZE,
         "chunks": chunks,
     }
-    return header
 
 
 def manifest(data: bytes) -> LayerManifest:
@@ -330,10 +338,9 @@ def manifest(data: bytes) -> LayerManifest:
 class _Reader:
     """Consecutive little-endian arrays of one decompressed chunk payload."""
 
-    def __init__(self, raw: bytes, width: int):
+    def __init__(self, raw: bytes):
         self.raw = raw
         self.offset = 0
-        self.ints = f"<i{width}"  # the chunk's signed quantization indices
 
     def take(self, dtype: str, *shape: int) -> np.ndarray:
         """The next ``shape``-shaped array of ``dtype``; FormatError past the payload's end."""
@@ -345,6 +352,13 @@ class _Reader:
         out = np.frombuffer(self.raw, dtype, count, self.offset).reshape(shape)
         self.offset = end
         return out
+
+    def ints(self, *shape: int) -> np.ndarray:
+        """The next signed-int array: its width byte, then the ints at that width."""
+        (width,) = self.take("u1", 1)
+        if width not in INT_WIDTHS:
+            raise FormatError(f"int array width {width} is not 1, 2 or 4")
+        return self.take(f"<i{width}", *shape)
 
 
 def _check_indices(idx: np.ndarray, bound: int, what: str) -> None:
@@ -370,12 +384,16 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
         end = offset + info.compressed_length
         if end > len(data):
             break
+        # one byte past the declared length tells a long stream from an exact one
+        decompressor = lzma.LZMADecompressor(format=lzma.FORMAT_RAW, filters=_filters(h["preset"]))
         try:
-            raw = lzma.decompress(data[offset:end])
+            raw = decompressor.decompress(data[offset:end], max_length=min(info.raw_length + 1, sys.maxsize))
         except lzma.LZMAError as exc:
             raise IntegrityError(info.layer, f"layer {info.layer} chunk fails to decompress: {exc}") from exc
-        if len(raw) != info.raw_length:
-            raise IntegrityError(info.layer, f"layer {info.layer} chunk has wrong decompressed length")
+        if not decompressor.eof or decompressor.unused_data or len(raw) != info.raw_length:
+            raise IntegrityError(
+                info.layer, f"layer {info.layer} chunk does not end its LZMA2 stream at its raw length and extent"
+            )
         if zlib.crc32(raw) & 0xFFFFFFFF != info.crc32:
             raise IntegrityError(info.layer)
         payloads.append((info, raw))
@@ -388,7 +406,7 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
     timesteps = None
     for info, raw in payloads:
         level = info.layer
-        r = _Reader(raw, info.index_width)
+        r = _Reader(raw)
         if level == 1:
             timesteps = r.take("<f8", step_count)
         if level == 0:
@@ -406,17 +424,17 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
                 raise FormatError(f"layer {level} supplements an anchor that layer 0 carries")
         carried.append(supp)
         block = (
-            r.take(r.ints, n_supp, dim) * q["position"],
-            r.take(r.ints, n_supp, fdim) * q["feature"],
-            r.take(r.ints, n_supp) * q["scale"],
-            r.take(r.ints, n_supp, dim) * q["offset"],
+            r.ints(n_supp, dim) * q["position"],
+            r.ints(n_supp, fdim) * q["feature"],
+            r.ints(n_supp) * q["scale"],
+            r.ints(n_supp, dim) * q["offset"],
             r.take("<f4", n_supp),
             r.take("<f4", n_supp, 3),
         )
         records.append(block)
         members = np.sort(np.concatenate([base[refs], supp]))
-        masks = r.take(r.ints, members.size) * q["mask"]
-        tables = [r.take(r.ints, step_count, members.size, *s) * q["deform"] for s in table_shapes[level]]
+        masks = r.ints(members.size) * q["mask"]
+        tables = [r.ints(step_count, members.size, *s) * q["deform"] for s in table_shapes[level]]
         if r.offset != len(raw):
             raise FormatError(f"layer {level} chunk payload has bytes after its last array")
         level_rows.append((members, masks, tables))

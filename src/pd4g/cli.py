@@ -65,12 +65,34 @@ def _bank_to_json(bank: MaskBank) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _bank_from_json(path: Path) -> MaskBank:
-    payload = json.loads(path.read_text())
-    return MaskBank(
-        levels=tuple(np.asarray(level, dtype=np.float64) for level in payload["levels"]),
-        threshold=float(payload["threshold"]),
-    )
+def _bank_from_json(path: Path, anchor_count: int) -> MaskBank:
+    """The mask bank that ``pd4g train`` wrote; a validation error names the file and the field."""
+
+    def invalid(message: str) -> _CliError:
+        return _CliError(EXIT_VALIDATION, f"{path}: {message}")
+
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise invalid(f"not JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise invalid("expected an object with the fields 'threshold' and 'levels'")
+    for key in ("threshold", "levels"):
+        if key not in payload:
+            raise invalid(f"missing field {key!r}")
+    levels = payload["levels"]
+    if not isinstance(levels, list) or len(levels) != 3:
+        raise invalid("field 'levels' must be a list of 3 levels")
+    for i, level in enumerate(levels):
+        if not isinstance(level, list) or len(level) != anchor_count:
+            raise invalid(f"field 'levels'[{i}] must list {anchor_count} masks, one per anchor of the config")
+    try:
+        return MaskBank(
+            levels=tuple(np.asarray(level, dtype=np.float64) for level in levels),
+            threshold=float(payload["threshold"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise invalid(str(exc)) from exc
 
 
 def cmd_train(args) -> int:
@@ -99,7 +121,7 @@ def cmd_encode(args) -> int:
     if not bank_path.exists():
         raise _CliError(EXIT_RUNTIME, f"mask bank not found: {bank_path}")
     scene = cfg.make_scene()
-    bank = _bank_from_json(bank_path)
+    bank = _bank_from_json(bank_path, cfg.anchor_count)
     encode_cfg = bitstream.EncodeConfig(quant_steps=cfg.quant_steps(), preset=cfg.compressor_preset)
     try:
         blob = bitstream.encode(scene.anchors, bank, scene.deformations, encode_cfg)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pd4g.acceptance import expected_reconstruction, random_asset
-from pd4g.asset import AnchorSet, DeformationTable, MaskBank
+from pd4g.asset import AnchorSet, DeformationTable, LocalResiduals, MaskBank
 from pd4g.bitstream import (
     CHUNK_ENTRY_SIZE,
     HEADER_BASE_SIZE,
@@ -26,6 +26,14 @@ from pd4g.toyscene import DEFAULT_QUANT_STEPS, make_scene
 @pytest.fixture()
 def asset():
     return random_asset(np.random.default_rng(7))
+
+
+PINNED_CONTAINERS = {
+    3: "193e045a307eb6cb7f93ca175a395d2359f09694b9bd871570b8a573270888d7",
+    7: "f9c4ec37a8bf1704c1e3cfccae2ff1e8aea45af35ccb2a7f743913e3be438b89",
+    11: "873cacc596410958139ee5d0ce97eef5c94d33f4875cf4aa0632ba6195948312",
+    "motion-dense": "269be8e26f6249ff59725929b9a0aba4dcef50b31677d5b4d4cd58b555a8215e",
+}
 
 
 def _pinned_container(source) -> bytes:
@@ -97,19 +105,11 @@ class TestEncode:
         with pytest.raises(ValueError, match="positive and finite"):
             EncodeConfig(quant_steps={**DEFAULT_QUANT_STEPS, "scale": step})
 
-    # sha256 of the container bytes, recorded when the encoder was rewritten
-    # around index arithmetic: a given asset and config always encode the same
-    @pytest.mark.parametrize(
-        "source, digest",
-        [
-            (3, "e99de9bb7a46d61109e5cc240312e5d580ea7039468ad60d1fd0187111616e4e"),
-            (7, "646e3031a03f8decaa790a07ffab9ec78bf0551e7de4aa841d4edc5b066b82c5"),
-            (11, "b347234450b44a219aaa59ebb97bc7cb548147a7b403d6b6574ba974f4af80e3"),
-            ("motion-dense", "66c7f3d84759858f37269885d134d097570b37ce332e3adb31a3cf8fc2c35544"),
-        ],
-    )
-    def test_container_bytes_are_pinned(self, source, digest):
-        assert hashlib.sha256(_pinned_container(source)).hexdigest() == digest
+    # sha256 of the container bytes, recorded when container version 2 packed
+    # each int array at its own width: a given asset and config always encode the same
+    @pytest.mark.parametrize("source", PINNED_CONTAINERS)
+    def test_container_bytes_are_pinned(self, source):
+        assert hashlib.sha256(_pinned_container(source)).hexdigest() == PINNED_CONTAINERS[source]
 
     # sha256 prefixes of the decoded values at each layer boundary of the
     # pinned containers, recorded with container version 1; a container
@@ -230,24 +230,76 @@ class TestDecodePrefix:
     def test_nonzero_flags_rejected(self, asset):
         blob = bytearray(encode(*asset))
         blob[6] = 0x01  # reserved flags byte
+        blob = _reseal(blob)
         with pytest.raises(FormatError, match="flags"):
-            decode_prefix(bytes(blob))
+            decode_prefix(blob)
         with pytest.raises(FormatError):
-            manifest(bytes(blob))
+            manifest(blob)
 
     @pytest.mark.parametrize("dim", [0, 1, 4, 7])
     def test_unsupported_dim_rejected(self, asset, dim):
         blob = bytearray(encode(*asset))
         blob[7] = dim
         with pytest.raises(FormatError, match="dimension"):
-            decode_prefix(bytes(blob))
+            decode_prefix(_reseal(blob))
 
     @pytest.mark.parametrize("step", [-1.0 / 16.0, 0.0, float("inf"), float("-inf"), float("nan"), 1.7e308])
     def test_bad_quant_step_rejected(self, asset, step):
         blob = bytearray(encode(*asset))
         struct.pack_into("<d", blob, 16 + 8 * 2, step)  # the scale family's step
         with pytest.raises(FormatError, match="quantization step"):
-            decode_prefix(bytes(blob))
+            decode_prefix(_reseal(blob))
+
+    def test_version_1_rejected(self, asset):
+        blob = bytearray(encode(*asset))
+        blob[4] = 1
+        with pytest.raises(FormatError, match="version 1"):
+            decode_prefix(_reseal(blob))
+
+    def test_preset_beyond_9_rejected(self, asset):
+        blob = bytearray(encode(*asset))
+        blob[5] = 10
+        with pytest.raises(FormatError, match="preset 10"):
+            decode_prefix(_reseal(blob))
+
+    def test_every_header_bit_flip_rejected(self, asset):
+        blob = encode(*asset)
+        for at in range(manifest(blob).header_bytes):  # header, chunk table and their CRC
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[at] ^= 1 << bit
+                with pytest.raises(FormatError):
+                    decode_prefix(bytes(flipped))
+
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    @pytest.mark.parametrize("cut, junk", [(0, bytes(range(16))), (1, b"")], ids=["junk-after-end", "no-end-marker"])
+    def test_stream_must_end_at_its_extent(self, asset, layer, cut, junk):
+        blob = encode(*asset)
+        man = manifest(blob)
+        end = man.cumulative_sizes[layer]
+        edited = bytearray(blob[: end - cut] + junk + blob[end:])
+        entry = HEADER_BASE_SIZE + CHUNK_ENTRY_SIZE * layer
+        struct.pack_into("<Q", edited, entry + 9, man.chunks[layer].compressed_length - cut + len(junk))
+        with pytest.raises(IntegrityError) as err:
+            decode_prefix(_reseal(edited))
+        assert err.value.layer == layer
+
+    @pytest.mark.parametrize("preset", range(10))
+    def test_chunk_beyond_the_dictionary_round_trips(self, preset):
+        # layer 1 repeats a random first row 1.3 MB later, past the 1 MiB
+        # dictionary: an encoder left at the preset's own, larger dictionary
+        # (presets 2-9) refers back to it, and FORMAT.md's chain cannot follow
+        n, steps = 1024, 130
+        ints = np.zeros((steps, n, 2), dtype=np.int64)
+        ints[0] = ints[-1] = np.random.default_rng(0).integers(-(2**31) + 1, 2**31, (n, 2))
+        flat = np.zeros((n, 2))
+        anchors = AnchorSet(flat, flat, np.ones(n), flat, np.ones(n), np.ones((n, 3)))
+        still, zeros = np.zeros((steps, n, 2)), np.zeros((steps, n))
+        local = LocalResiduals(still, zeros, zeros, np.zeros((steps, n, 3)))
+        table = DeformationTable(np.linspace(0, 1, steps), ints / 16.0, still, local)
+        blob = encode(anchors, MaskBank.all_ones(n), table, EncodeConfig(dict(DEFAULT_QUANT_STEPS), preset))
+        assert len(_payload(blob, 1)) == manifest(blob).chunks[1].raw_length > 2**20
+        assert np.array_equal(decode_prefix(blob).deformations.displacements, table.displacements)
 
     def test_truncated_base_layer(self, asset):
         anchors, bank, table = asset
@@ -298,32 +350,55 @@ def _layout_container() -> bytes:
         )
     )
     blob = encode(scene.anchors, bank, scene.deformations)
-    assert [c.index_width for c in manifest(blob).chunks] == [2, 2, 2]
+    raw = _payload(blob, 0)
+    assert [raw[at] for at in (_POSITIONS_0, _SCALES_0 - 1, _OPACITIES_0 - 9, _MASKS_0)] == [1, 1, 1, 2]
     return blob
 
 
-def _rewrite_chunk(blob: bytes, layer: int, offset: int, fmt: str, *values, tail: bytes = b"") -> bytes:
-    """Patch one chunk's decompressed payload and append ``tail``, then recompress it and fix its table entry."""
-    man = manifest(blob)
-    bounds = (man.header_bytes, *man.cumulative_sizes)
-    raw = bytearray(lzma.decompress(blob[bounds[layer] : bounds[layer + 1]]))
-    struct.pack_into(fmt, raw, offset, *values)
-    raw += tail
-    comp = lzma.compress(bytes(raw), preset=6)
-    out = bytearray(blob[: bounds[layer]] + comp + blob[bounds[layer + 1] :])
-    entry = HEADER_BASE_SIZE + CHUNK_ENTRY_SIZE * layer
-    struct.pack_into("<QQI", out, entry + 2, len(raw), len(comp), zlib.crc32(raw))
+# FORMAT.md's filter chain: LZMA2 with a 1 MiB dictionary, other settings from the preset
+_FILTERS = [{"id": lzma.FILTER_LZMA2, "preset": 6, "dict_size": 2**20}]
+
+
+def _reseal(blob) -> bytes:
+    """``blob`` with the CRC32 that follows its chunk table recomputed."""
+    out = bytearray(blob)
+    end = HEADER_BASE_SIZE + CHUNK_ENTRY_SIZE * out[HEADER_BASE_SIZE - 1]
+    struct.pack_into("<I", out, end, zlib.crc32(out[:end]))
     return bytes(out)
 
 
+def _payload(blob: bytes, layer: int) -> bytes:
+    man = manifest(blob)
+    bounds = (man.header_bytes, *man.cumulative_sizes)
+    return lzma.decompress(blob[bounds[layer] : bounds[layer + 1]], format=lzma.FORMAT_RAW, filters=_FILTERS)
+
+
+def _rewrite_chunk(blob: bytes, layer: int, offset: int, fmt: str, *values, tail: bytes = b"") -> bytes:
+    """Patch one chunk's decompressed payload and append ``tail``, then recompress it and fix the header."""
+    man = manifest(blob)
+    bounds = (man.header_bytes, *man.cumulative_sizes)
+    raw = bytearray(_payload(blob, layer))
+    struct.pack_into(fmt, raw, offset, *values)
+    raw += tail
+    comp = lzma.compress(bytes(raw), format=lzma.FORMAT_RAW, filters=_FILTERS)
+    out = bytearray(blob[: bounds[layer]] + comp + blob[bounds[layer + 1] :])
+    entry = HEADER_BASE_SIZE + CHUNK_ENTRY_SIZE * layer
+    struct.pack_into("<QQI", out, entry + 1, len(raw), len(comp), zlib.crc32(raw))
+    return _reseal(out)
+
+
 # Byte offsets in the layout container's decompressed payloads (FORMAT.md):
-# layer 0 is n0 (u32), 4 indices (u32), then 2-byte positions (8), features
-# (8), scales (4) and offsets (8), then f32 opacities; layer 1 starts with 2
-# f64 timesteps, then the two counts, 2 refs and 2 supplemental indices;
-# layer 2 starts with the counts, 2 refs and 3 supplemental indices.
+# layer 0 is n0 (u32) and 4 indices (u32), then positions (8), features (8),
+# scales (4) and offsets (8), each a width byte of 1 and 1-byte ints, then
+# 4 f32 opacities, 12 f32 colors and 4 masks behind a width byte of 2;
+# layer 1 starts with 2 f64 timesteps, then the two counts, 2 refs and 2
+# supplemental indices; layer 2 starts with the counts, 2 refs and 3
+# supplemental indices.
 _INDICES_0 = 4
-_SCALES_0 = _INDICES_0 + 4 * 4 + 2 * (8 + 8)
-_OPACITIES_0 = _SCALES_0 + 2 * (4 + 8)
+_POSITIONS_0 = _INDICES_0 + 4 * 4  # the width byte
+_SCALES_0 = _POSITIONS_0 + (1 + 8) + (1 + 8) + 1
+_OPACITIES_0 = _SCALES_0 + 4 + (1 + 8)
+_MASKS_0 = _OPACITIES_0 + 4 * (4 + 12)
 _SUPP_1 = 16 + 8 + 2 * 4
 _REFS_2, _SUPP_2 = 8, 8 + 2 * 4
 
@@ -336,7 +411,7 @@ MALFORMED = {
     "refs out of order": (2, _REFS_2, "<2I", 2, 0),
     "opacity 2.0": (0, _OPACITIES_0, "<f", 2.0),
     "NaN opacity": (0, _OPACITIES_0 + 4, "<f", float("nan")),
-    "negative scale index": (0, _SCALES_0, "<h", -1),
+    "negative scale index": (0, _SCALES_0, "<b", -1),
     "reversed timesteps": (1, 0, "<2d", 1.0, 0.0),
     "NaN timestep": (1, 8, "<d", float("nan")),
 }
@@ -352,6 +427,12 @@ class TestMalformedPayload:
     def test_rejected_as_format_error(self, case):
         blob = _rewrite_chunk(_layout_container(), *MALFORMED[case])
         with pytest.raises(FormatError):
+            decode_prefix(blob)
+
+    @pytest.mark.parametrize("width", [0, 3, 8])
+    def test_unsupported_int_width_rejected(self, width):
+        blob = _rewrite_chunk(_layout_container(), 0, _POSITIONS_0, "<B", width)
+        with pytest.raises(FormatError, match=f"width {width}"):
             decode_prefix(blob)
 
     @pytest.mark.parametrize("layer", [0, 1, 2])

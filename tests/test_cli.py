@@ -48,13 +48,14 @@ class TestTrain:
         assert (out / "masks.json").exists()
 
     def test_artifacts_pinned(self, trained_dir):
-        # sha256 prefixes recorded before the config -> call wiring moved into RunConfig
+        # sha256 prefixes recorded before the config -> call wiring moved into
+        # RunConfig; asset.pd4g re-recorded for container version 2
         _, out = trained_dir
         pinned = {
             "masks.json": "b940e2f9eb286079",
             "report.json": "103b358eaa5b8ce1",
             "loss_curve.csv": "0694088f1dcbaae1",
-            "asset.pd4g": "ad9a711c349050f2",
+            "asset.pd4g": "b19c8e4c585699a4",
         }
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16] for name in pinned}
         assert digests == pinned
@@ -122,6 +123,27 @@ class TestEncodeInspect:
         (out / "masks.json").write_text(json.dumps(dead))
         assert main(["encode", "--config", str(cfg)]) == EXIT_RUNTIME
         assert "base-layer" in capsys.readouterr().err.replace("base layer", "base-layer")
+
+    @pytest.mark.parametrize(
+        "case, field",
+        [("no threshold", "'threshold'"), ("two levels", "'levels'"), ("15 anchors", "'levels'[0]")],
+    )
+    def test_malformed_masks_are_validation_errors(self, trained_dir, tmp_path, capsys, case, field):
+        cfg, out = trained_dir
+        bank = json.loads((out / "masks.json").read_text())
+        if case == "no threshold":
+            del bank["threshold"]
+        elif case == "two levels":
+            bank["levels"].pop()
+        else:  # the config has 16 anchors
+            bank["levels"] = [level[:15] for level in bank["levels"]]
+        masks = tmp_path / "masks.json"
+        masks.write_text(json.dumps(bank))
+        code = main(["encode", "--config", str(cfg), "--masks", str(masks), "--out", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(masks) in err and field in err
+        assert not (tmp_path / "out" / "asset.pd4g").exists()
 
 
 class TestSimulate:
