@@ -355,9 +355,12 @@ class _Reader:
 
     def ints(self, *shape: int) -> np.ndarray:
         """The next signed-int array: its width byte, then the ints at that width."""
-        (width,) = self.take("u1", 1)
+        if self.offset >= len(self.raw):
+            raise FormatError("chunk payload ends mid-array")
+        width = self.raw[self.offset]
         if width not in INT_WIDTHS:
             raise FormatError(f"int array width {width} is not 1, 2 or 4")
+        self.offset += 1
         return self.take(f"<i{width}", *shape)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance, bitstream, stream, toyscene
-from .asset import MaskBank
+from .asset import LAYER_COUNT, MaskBank
 from .config import ConfigError, RunConfig, load_config
 
 EXIT_OK = 0
@@ -81,8 +81,8 @@ def _bank_from_json(path: Path, anchor_count: int) -> MaskBank:
         if key not in payload:
             raise invalid(f"missing field {key!r}")
     levels = payload["levels"]
-    if not isinstance(levels, list) or len(levels) != 3:
-        raise invalid("field 'levels' must be a list of 3 levels")
+    if not isinstance(levels, list) or len(levels) != LAYER_COUNT:
+        raise invalid(f"field 'levels' must be a list of {LAYER_COUNT} levels")
     for i, level in enumerate(levels):
         if not isinstance(level, list) or len(level) != anchor_count:
             raise invalid(f"field 'levels'[{i}] must list {anchor_count} masks, one per anchor of the config")

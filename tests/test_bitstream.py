@@ -284,6 +284,12 @@ class TestDecodePrefix:
             decode_prefix(_reseal(edited))
         assert err.value.layer == layer
 
+    def test_raw_length_beyond_ssize_t_is_integrity_error(self, asset):
+        blob = bytearray(encode(*asset))
+        struct.pack_into("<Q", blob, HEADER_BASE_SIZE + 1, 2**64 - 1)  # layer 0's raw length
+        with pytest.raises(IntegrityError):
+            decode_prefix(_reseal(blob))
+
     @pytest.mark.parametrize("preset", range(10))
     def test_chunk_beyond_the_dictionary_round_trips(self, preset):
         # layer 1 repeats a random first row 1.3 MB later, past the 1 MiB
@@ -373,13 +379,16 @@ def _payload(blob: bytes, layer: int) -> bytes:
     return lzma.decompress(blob[bounds[layer] : bounds[layer + 1]], format=lzma.FORMAT_RAW, filters=_FILTERS)
 
 
-def _rewrite_chunk(blob: bytes, layer: int, offset: int, fmt: str, *values, tail: bytes = b"") -> bytes:
-    """Patch one chunk's decompressed payload and append ``tail``, then recompress it and fix the header."""
+def _rewrite_chunk(blob: bytes, layer: int, offset: int, fmt: str, *values, tail=b"", keep=None) -> bytes:
+    """Patch one chunk's decompressed payload, cut it to ``keep`` bytes and append ``tail``.
+
+    The chunk is then recompressed, and its table entry and the header CRC fixed.
+    """
     man = manifest(blob)
     bounds = (man.header_bytes, *man.cumulative_sizes)
     raw = bytearray(_payload(blob, layer))
     struct.pack_into(fmt, raw, offset, *values)
-    raw += tail
+    raw = raw[:keep] + tail
     comp = lzma.compress(bytes(raw), format=lzma.FORMAT_RAW, filters=_FILTERS)
     out = bytearray(blob[: bounds[layer]] + comp + blob[bounds[layer + 1] :])
     entry = HEADER_BASE_SIZE + CHUNK_ENTRY_SIZE * layer
@@ -433,6 +442,12 @@ class TestMalformedPayload:
     def test_unsupported_int_width_rejected(self, width):
         blob = _rewrite_chunk(_layout_container(), 0, _POSITIONS_0, "<B", width)
         with pytest.raises(FormatError, match=f"width {width}"):
+            decode_prefix(blob)
+
+    @pytest.mark.parametrize("keep", [_MASKS_0, _MASKS_0 + 2])  # at the masks' width byte, inside the masks
+    def test_payload_ending_mid_array_rejected(self, keep):
+        blob = _rewrite_chunk(_layout_container(), 0, 0, "", keep=keep)
+        with pytest.raises(FormatError, match="mid-array"):
             decode_prefix(blob)
 
     @pytest.mark.parametrize("layer", [0, 1, 2])
