@@ -33,6 +33,7 @@ HEADER_CRC_SIZE = 4
 DEFAULT_PRESET = 6
 DICT_SIZE = 2**20  # every chunk's LZMA2 dictionary, whatever the preset
 INT_WIDTHS = (1, 2, 4)
+MAX_FEATURE_DIM = 0xFFFF  # the header's u16 field F
 
 QUANT_FAMILIES = ("position", "feature", "scale", "offset", "mask", "deform")
 DEFAULT_QUANT_STEPS = {
@@ -213,6 +214,13 @@ def encode(
     q = config.quant_steps
     if deformations.count != anchors.count or bank.count != anchors.count:
         raise ValueError("anchors, bank and deformation table must agree on anchor count")
+    for name, value, limit in (
+        ("anchor count", anchors.count, 0xFFFFFFFF),
+        ("feature dimension F", anchors.feature_dim, MAX_FEATURE_DIM),
+        ("timestep count T", deformations.step_count, 0xFFFF),
+    ):
+        if value > limit:
+            raise ValueError(f"{name} is {value}, beyond the header field's {limit}")
     # the header records the anchors' widths, and the decoder reads every table by them
     if deformations.feature_residuals.shape[2] != anchors.feature_dim:
         raise ValueError(

@@ -38,12 +38,11 @@ class _Parser(argparse.ArgumentParser):
 def _load_run_config(args) -> RunConfig:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        if args.config is None:
-            cfg.validate()
         if args.seed is not None:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out_dir = args.out
+        cfg.validate()
         return cfg
     except FileNotFoundError as exc:
         raise _CliError(EXIT_RUNTIME, f"config file not found: {exc.filename}") from exc
@@ -246,6 +245,11 @@ def cmd_verify(args) -> int:
             selected = {int(x) for x in args.only.split(",")}
         except ValueError as exc:
             raise _CliError(EXIT_VALIDATION, f"bad --only list: {exc}") from exc
+        unknown = sorted(selected - set(range(1, len(acceptance.CRITERIA) + 1)))
+        if unknown:
+            raise _CliError(
+                EXIT_VALIDATION, f"bad --only list: no criterion {unknown[0]}; they are 1..{len(acceptance.CRITERIA)}"
+            )
     results = acceptance.run_all(selected)
     width = max(len(r.name) for r in results)
     failures = 0

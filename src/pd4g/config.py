@@ -1,7 +1,9 @@
 """Flat, typed key=value run configuration.
 
 One line per key (``key = value``, '#' comments), every key validated against
-a registry with explicit units in the names. Published constants are read
+a registry with explicit units in the names. A key exists only for what a run
+varies: the method's fixed loss and rollout constants are not keys, and live
+in ``LossWeights`` and ``RolloutConfig`` alone. Published defaults are read
 from their owners (``LossWeights``, ``RolloutConfig``, ``asset``,
 ``bitstream``), never restated; the desk-scale schedule knobs (steps, learning
 rate) default to values that converge on toy scenes in under a minute.
@@ -10,12 +12,12 @@ rate) default to values that converge on toy scenes in under a minute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import toyscene
 from .asset import MASK_THRESHOLD, MaskBank
-from .bitstream import DEFAULT_PRESET, DEFAULT_QUANT_STEPS, QUANT_FAMILIES, usable_quant_step
+from .bitstream import DEFAULT_PRESET, DEFAULT_QUANT_STEPS, MAX_FEATURE_DIM, QUANT_FAMILIES, usable_quant_step
 from .losses import LossWeights
 from .rollout import RolloutConfig
 
@@ -40,19 +42,9 @@ class RunConfig:
     feature_dim: int = 4
 
     lambda_layer0: float = _LOSS.lambda_layer[0]
-    lambda_layer1: float = _LOSS.lambda_layer[1]
-    lambda_layer2: float = _LOSS.lambda_layer[2]
-    lambda_temporal: float = _LOSS.lambda_temporal
     binary_weight: float = _LOSS.binary_weight
-    smooth_weight: float = _LOSS.smooth_weight
-    tau_scene_units: float = _LOSS.tau
-    pair_factor: int = _LOSS.pair_factor
     mask_threshold: float = MASK_THRESHOLD
 
-    pi_aggressive0: float = _ROLLOUT.aggressive_weights[0]
-    pi_aggressive1: float = _ROLLOUT.aggressive_weights[1]
-    pi_aggressive2: float = _ROLLOUT.aggressive_weights[2]
-    ema_alpha: float = _ROLLOUT.ema_alpha
     sample_period: int = _ROLLOUT.sample_period
     warmup_steps: int = _ROLLOUT.warmup_steps
 
@@ -71,6 +63,8 @@ class RunConfig:
     out_dir: str = "out"
 
     def validate(self) -> None:
+        if not (-(2**63) <= self.seed < 2**63):
+            raise ConfigError("seed must lie in [-2**63, 2**63)")
         if self.scene_kind not in toyscene.SCENE_KINDS:
             raise ConfigError(f"scene_kind must be one of {toyscene.SCENE_KINDS}, got {self.scene_kind!r}")
         if not (4 <= self.anchor_count <= 1024):
@@ -79,8 +73,8 @@ class RunConfig:
             raise ConfigError("timestep_count must lie in [1, 32]")
         if self.image_width < 8 or self.image_height < 8:
             raise ConfigError("image_width/image_height must be at least 8")
-        if self.feature_dim < 1:
-            raise ConfigError("feature_dim must be at least 1")
+        if not (1 <= self.feature_dim <= MAX_FEATURE_DIM):
+            raise ConfigError(f"feature_dim must lie in [1, {MAX_FEATURE_DIM}]")
         if not (0.0 < self.mask_threshold < 1.0):
             raise ConfigError("mask_threshold must lie strictly inside (0, 1)")
         if self.train_steps < 0:
@@ -89,24 +83,15 @@ class RunConfig:
             raise ConfigError("progressive_start_step must be non-negative")
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be positive")
-        for name in (
-            "lambda_layer0",
-            "lambda_layer1",
-            "lambda_layer2",
-            "lambda_temporal",
-            "binary_weight",
-            "smooth_weight",
-        ):
+        for name in ("lambda_layer0", "binary_weight"):
             if not (0 <= getattr(self, name) < math.inf):
                 raise ConfigError(f"{name} must be non-negative and finite")
-        if not (0 < self.tau_scene_units < math.inf):
-            raise ConfigError("tau_scene_units must be positive and finite")
         for family, step in self.quant_steps().items():
             if not usable_quant_step(step):
                 raise ConfigError(f"quant_step_{family} must be positive and finite, also times 2**31")
         if not (0 <= self.compressor_preset <= 9):
             raise ConfigError("compressor_preset must lie in 0..9")
-        # delegate cross-field checks
+        # LossWeights and RolloutConfig check the values they own, sample_period and warmup_steps too
         try:
             self.loss_weights()
             self.rollout_config()
@@ -114,22 +99,12 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            lambda_layer=(self.lambda_layer0, self.lambda_layer1, self.lambda_layer2),
-            lambda_temporal=self.lambda_temporal,
-            tau=self.tau_scene_units,
-            pair_factor=self.pair_factor,
-            binary_weight=self.binary_weight,
-            smooth_weight=self.smooth_weight,
+        return replace(
+            _LOSS, lambda_layer=(self.lambda_layer0, *_LOSS.lambda_layer[1:]), binary_weight=self.binary_weight
         )
 
     def rollout_config(self) -> RolloutConfig:
-        return RolloutConfig(
-            aggressive_weights=(self.pi_aggressive0, self.pi_aggressive1, self.pi_aggressive2),
-            ema_alpha=self.ema_alpha,
-            sample_period=self.sample_period,
-            warmup_steps=self.warmup_steps,
-        )
+        return replace(_ROLLOUT, sample_period=self.sample_period, warmup_steps=self.warmup_steps)
 
     def quant_steps(self) -> dict[str, float]:
         return {family: getattr(self, f"quant_step_{family}") for family in QUANT_FAMILIES}

@@ -380,8 +380,8 @@ def train_masks(
     steps: int,
     seed: int,
     *,
-    learning_rate: float = 0.05,
-    progressive_start: int = 1000,
+    learning_rate: float,
+    progressive_start: int,
     threshold: float = MASK_THRESHOLD,
     quant_steps: dict[str, float] | None = None,
 ) -> tuple[MaskBank, TrainReport]:

@@ -233,6 +233,11 @@ class TestMaskBank:
         with pytest.raises(ValueError):
             MaskBank(levels=(np.ones(2), np.ones(2), np.ones(2)), threshold=1.0)
 
+    def test_rejects_nan(self):
+        # clipping keeps NaN, and a NaN mask is never above the threshold
+        with pytest.raises(ValueError, match="NaN"):
+            MaskBank(levels=(np.ones(2), np.array([1.0, np.nan]), np.ones(2)))
+
 
 class TestDeformationTable:
     def test_rejects_decreasing_timesteps(self):

@@ -100,6 +100,33 @@ class TestEncode:
         with pytest.raises(ValueError, match="2-D.*3-D"):
             encode(solid, MaskBank.all_ones(8), scene.deformations)
 
+    @pytest.mark.parametrize(
+        "field, feature_dim, steps", [("feature dimension F", 65536, 1), ("timestep count T", 1, 65536)]
+    )
+    def test_header_field_overflow_rejected(self, field, feature_dim, steps):
+        # F and T are u16 in the header; struct.pack would raise struct.error
+        a = AnchorSet(
+            positions=np.full((4, 2), 0.5),
+            features=np.zeros((4, feature_dim)),
+            scales=np.ones(4),
+            offsets=np.zeros((4, 2)),
+            opacities=np.ones(4),
+            colors=np.ones((4, 3)),
+        )
+        table = DeformationTable(
+            timesteps=np.linspace(0, 1, steps),
+            displacements=np.zeros((steps, 4, 2)),
+            feature_residuals=np.zeros((steps, 4, feature_dim)),
+            local=LocalResiduals(
+                d_position=np.zeros((steps, 4, 2)),
+                d_scale=np.zeros((steps, 4)),
+                d_opacity=np.zeros((steps, 4)),
+                d_color=np.zeros((steps, 4, 3)),
+            ),
+        )
+        with pytest.raises(ValueError, match=f"{field} is 65536, beyond the header field's 65535"):
+            encode(a, MaskBank.all_ones(4), table)
+
     @pytest.mark.parametrize("step", [0.0, -0.5, float("inf"), float("nan"), 1.7e308])
     def test_config_rejects_steps_the_decoder_would(self, step):
         with pytest.raises(ValueError, match="positive and finite"):

@@ -77,12 +77,27 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == EXIT_VALIDATION
         assert "not_a_key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("lambda_temporal", "nan"), ("tau_scene_units", "inf")])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lambda_layer0", "nan"), ("binary_weight", "inf"), ("lambda_temporal", "nan"), ("tau_scene_units", "inf")],
+    )
     def test_non_finite_weight_is_validation_error(self, tmp_path, capsys, key, value):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, FAST_TRAIN + f"{key} = {value}\n", out)
         assert main(["train", "--config", str(cfg)]) == EXIT_VALIDATION
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("in_config", [False, True])
+    def test_seed_beyond_64_bits_is_validation_error(self, tmp_path, capsys, in_config):
+        out = tmp_path / "out"
+        seed = str(2**63)
+        body = FAST_TRAIN.replace("seed = 5", f"seed = {seed}") if in_config else FAST_TRAIN
+        argv = ["train", "--config", str(write_config(tmp_path, body, out))]
+        if not in_config:  # the override is validated as the config line is
+            argv += ["--seed", seed]
+        assert main(argv) == EXIT_VALIDATION
+        assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -126,7 +141,7 @@ class TestEncodeInspect:
 
     @pytest.mark.parametrize(
         "case, field",
-        [("no threshold", "'threshold'"), ("two levels", "'levels'"), ("15 anchors", "'levels'[0]")],
+        [("no threshold", "'threshold'"), ("two levels", "'levels'"), ("15 anchors", "'levels'[0]"), ("NaN", "NaN")],
     )
     def test_malformed_masks_are_validation_errors(self, trained_dir, tmp_path, capsys, case, field):
         cfg, out = trained_dir
@@ -135,6 +150,8 @@ class TestEncodeInspect:
             del bank["threshold"]
         elif case == "two levels":
             bank["levels"].pop()
+        elif case == "NaN":  # the JSON reader accepts NaN
+            bank["levels"][1][3] = float("nan")
         else:  # the config has 16 anchors
             bank["levels"] = [level[:15] for level in bank["levels"]]
         masks = tmp_path / "masks.json"
@@ -240,6 +257,12 @@ class TestVerifyCommand:
 
     def test_usage_error_is_validation(self, capsys):
         assert main(["verify", "--only", "one"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("only, named", [("99", "99"), ("0", "0"), ("1,12", "12")])
+    def test_unknown_criterion_is_named(self, capsys, only, named):
+        assert main(["verify", "--only", only]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"no criterion {named}" in captured.err and captured.out == ""
 
 
 class TestUsage:

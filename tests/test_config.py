@@ -1,18 +1,39 @@
+from dataclasses import fields
+
 import pytest
 
 from pd4g.config import ConfigError, RunConfig, parse_config
+from pd4g.losses import LossWeights
+from pd4g.rollout import RolloutConfig
+
+# the method's fixed loss and rollout constants, with their published values;
+# none of them is a config key
+FIXED_CONSTANTS = {
+    "lambda_layer1": "0.01",
+    "lambda_layer2": "0.00025",
+    "lambda_temporal": "0.01",
+    "smooth_weight": "1.0",
+    "tau_scene_units": "0.1",
+    "pair_factor": "4",
+    "pi_aggressive0": "0.15",
+    "pi_aggressive1": "0.30",
+    "pi_aggressive2": "0.55",
+    "ema_alpha": "0.05",
+}
 
 
 class TestDefaults:
     def test_published_constants(self):
         cfg = RunConfig()
         cfg.validate()
-        assert (cfg.lambda_layer0, cfg.lambda_layer1, cfg.lambda_layer2) == (0.04, 0.01, 0.00025)
-        assert cfg.lambda_temporal == 0.01
-        assert (cfg.pi_aggressive0, cfg.pi_aggressive1, cfg.pi_aggressive2) == (0.15, 0.30, 0.55)
-        assert cfg.ema_alpha == 0.05
-        assert cfg.sample_period == 200
-        assert cfg.warmup_steps == 2000
+        weights, schedule = cfg.loss_weights(), cfg.rollout_config()
+        assert weights == LossWeights() and schedule == RolloutConfig()
+        assert weights.lambda_layer == (0.04, 0.01, 0.00025)
+        assert weights.lambda_temporal == 0.01
+        assert schedule.aggressive_weights == (0.15, 0.30, 0.55)
+        assert schedule.ema_alpha == 0.05
+        assert schedule.sample_period == 200
+        assert schedule.warmup_steps == 2000
         assert cfg.mask_threshold == 0.01
 
     def test_derived_objects(self):
@@ -20,6 +41,37 @@ class TestDefaults:
         assert cfg.loss_weights().lambda_layer == (0.04, 0.01, 0.00025)
         assert cfg.rollout_config().sample_period == 200
         assert set(cfg.quant_steps()) == {"position", "feature", "scale", "offset", "mask", "deform"}
+        varied = RunConfig(lambda_layer0=0.5, binary_weight=0.0, sample_period=25, warmup_steps=400)
+        assert varied.loss_weights() == LossWeights(lambda_layer=(0.5, 0.01, 0.00025), binary_weight=0.0)
+        assert varied.rollout_config() == RolloutConfig(sample_period=25, warmup_steps=400)
+
+    def test_keys_pinned(self):
+        # every key is a knob a run may turn: adding one means editing this set
+        assert {f.name for f in fields(RunConfig)} == {
+            "seed",
+            "scene_kind",
+            "anchor_count",
+            "timestep_count",
+            "image_width",
+            "image_height",
+            "feature_dim",
+            "lambda_layer0",
+            "binary_weight",
+            "mask_threshold",
+            "sample_period",
+            "warmup_steps",
+            "train_steps",
+            "progressive_start_step",
+            "learning_rate",
+            "quant_step_position",
+            "quant_step_feature",
+            "quant_step_scale",
+            "quant_step_offset",
+            "quant_step_mask",
+            "quant_step_deform",
+            "compressor_preset",
+            "out_dir",
+        }
 
 
 class TestParsing:
@@ -50,10 +102,22 @@ class TestParsing:
             parse_config("scene_kind = wiggly\n")
         with pytest.raises(ConfigError, match="anchor_count"):
             parse_config("anchor_count = 2\n")
-        with pytest.raises(ConfigError):
-            parse_config("pi_aggressive0 = 0.9\n")  # no longer sums to 1
+        with pytest.raises(ConfigError, match="sample_period"):
+            parse_config("sample_period = 0\n")  # checked by RolloutConfig
         with pytest.raises(ConfigError, match="quant_step_position"):
             parse_config("quant_step_position = 1e308\n")  # step * 2**31 overflows
+        for seed in (-(2**63) - 1, 2**63):  # seeds are hashed as signed 64-bit integers
+            with pytest.raises(ConfigError, match="seed"):
+                parse_config(f"seed = {seed}\n")
+        with pytest.raises(ConfigError, match="feature_dim"):
+            parse_config("feature_dim = 65536\n")  # the container header stores F as u16
+        assert parse_config(f"seed = {-(2**63)}\nfeature_dim = 65535\n").seed == -(2**63)
+
+    @pytest.mark.parametrize("key, value", FIXED_CONSTANTS.items())
+    def test_fixed_constant_is_unknown_key(self, key, value):
+        # even a line restating the published value is rejected
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_config(f"{key} = {value}\n")
 
     @pytest.mark.parametrize(
         "key",
@@ -69,5 +133,8 @@ class TestParsing:
     )
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_weight_named(self, key, value):
-        with pytest.raises(ConfigError, match=key):
+        # a line naming a dropped weight fails as an unknown key, before its value is read
+        reason = "unknown config key" if key in FIXED_CONSTANTS else "must be non-negative and finite"
+        with pytest.raises(ConfigError, match=reason) as raised:
             parse_config(f"{key} = {value}\n")
+        assert key in str(raised.value)

@@ -313,7 +313,7 @@ class TestRenderGradient:
 class TestTrainMasks:
     def test_zero_steps_leaves_masks_at_one(self, small_scene):
         bank, report = train_masks(
-            small_scene, LossWeights(), RolloutConfig(), steps=0, seed=1
+            small_scene, LossWeights(), RolloutConfig(), steps=0, seed=1, learning_rate=0.4, progressive_start=400
         )
         for level in range(3):
             assert np.all(bank.level(level) == 1.0)
