@@ -377,6 +377,21 @@ def _check_indices(idx: np.ndarray, bound: int, what: str) -> None:
         raise FormatError(f"{what} must ascend strictly and stay below {bound}")
 
 
+def _dense_table(rows: np.ndarray, at: np.ndarray, n: int, step: float) -> np.ndarray:
+    """The float table with ``rows * step`` in columns ``at`` of ``n`` and zeros elsewhere.
+
+    Each value is written once and scaled in place. The int to float64 cast is
+    exact and ``0.0 * step`` is +0.0 (``step > 0``), so every bit equals that of
+    ``index * step``.
+    """
+    if rows.shape[1] == n:  # the layer carries every anchor of the union: ``at`` is 0..n-1
+        return np.multiply(rows, step, dtype=np.float64)
+    full = np.zeros((rows.shape[0], n, *rows.shape[2:]))
+    full[:, at] = rows
+    full *= step
+    return full
+
+
 def decode_prefix(data: bytes) -> DecodedPrefix:
     """Decode every complete chunk in a byte prefix of a container.
 
@@ -445,7 +460,7 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
         records.append(block)
         members = np.sort(np.concatenate([base[refs], supp]))
         masks = r.ints(members.size) * q["mask"]
-        tables = [r.ints(step_count, members.size, *s) * q["deform"] for s in table_shapes[level]]
+        tables = [r.ints(step_count, members.size, *s) for s in table_shapes[level]]
         if r.offset != len(raw):
             raise FormatError(f"layer {level} chunk payload has bytes after its last array")
         level_rows.append((members, masks, tables))
@@ -456,13 +471,12 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
     max_level = payloads[-1][0].layer
     bank_levels = [np.zeros(n) for _ in range(3)]
     full_tables = {}
-    if max_level >= 1:
-        full_tables = {lvl: [np.zeros((step_count, n, *s)) for s in table_shapes[lvl]] for lvl in (1, 2)}
     for level, (members, masks, tables) in enumerate(level_rows):
         at = np.searchsorted(union, members)
         bank_levels[level][at] = masks
-        for full, rows in zip(full_tables.get(level, ()), tables):
-            full[:, at] = rows
+        full_tables[level] = [_dense_table(rows, at, n, q["deform"]) for rows in tables]
+    if max_level == 1:
+        full_tables[2] = [np.zeros((step_count, n, *s)) for s in table_shapes[2]]
 
     try:
         anchors = AnchorSet(*(np.concatenate(field)[first] for field in zip(*records)))
