@@ -56,6 +56,14 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _read_text(path: Path) -> str:
+    """An input text file; bytes that are not UTF-8 are a validation error naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _CliError(EXIT_VALIDATION, f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _bank_to_json(bank: MaskBank) -> str:
     payload = {
         "threshold": bank.threshold,
@@ -71,7 +79,7 @@ def _bank_from_json(path: Path, anchor_count: int) -> MaskBank:
         return _CliError(EXIT_VALIDATION, f"{path}: {message}")
 
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise invalid(f"not JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -174,8 +182,10 @@ def cmd_simulate(args) -> int:
         man = bitstream.manifest(container.read_bytes())
     except (bitstream.FormatError, bitstream.TruncatedStreamError) as exc:
         raise _CliError(EXIT_RUNTIME, f"unreadable container: {exc}") from exc
+    if not man.chunks:  # the manifest lists only complete chunks
+        raise _CliError(EXIT_RUNTIME, "unreadable container: no complete base-layer chunk in the stream")
     try:
-        trace = stream.BandwidthTrace.from_csv(trace_path.read_text())
+        trace = stream.BandwidthTrace.from_csv(_read_text(trace_path))
     except stream.TraceParseError as exc:
         raise _CliError(EXIT_VALIDATION, f"malformed trace: {exc}") from exc
 
@@ -211,7 +221,7 @@ def cmd_latency_table(args) -> int:
         raise _CliError(EXIT_RUNTIME, f"sizes file not found: {sizes_path}")
     labels = []
     sizes = []
-    for number, line in enumerate(sizes_path.read_text().splitlines(), start=1):
+    for number, line in enumerate(_read_text(sizes_path).splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue

@@ -28,6 +28,9 @@ def write_config(tmp_path: Path, body: str, out: Path) -> Path:
     return path
 
 
+NOT_UTF8 = b"\xff\xfe not UTF-8\n"  # 0xff never occurs in UTF-8
+
+
 @pytest.fixture(scope="module")
 def trained_dir(tmp_path_factory):
     """One fast end-to-end train+encode shared by the CLI tests."""
@@ -76,6 +79,14 @@ class TestTrain:
         cfg.write_text("not_a_key = 3\n")
         assert main(["train", "--config", str(cfg)]) == EXIT_VALIDATION
         assert "not_a_key" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"seed = 5\n" + NOT_UTF8)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "not UTF-8" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "key, value",
@@ -162,6 +173,16 @@ class TestEncodeInspect:
         assert str(masks) in err and field in err
         assert not (tmp_path / "out" / "asset.pd4g").exists()
 
+    def test_non_utf8_masks_is_validation_error(self, trained_dir, tmp_path, capsys):
+        cfg, _ = trained_dir
+        masks = tmp_path / "masks.json"
+        masks.write_bytes(NOT_UTF8)
+        code = main(["encode", "--config", str(cfg), "--masks", str(masks), "--out", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(masks) in err and "not UTF-8" in err
+        assert not (tmp_path / "out" / "asset.pd4g").exists()
+
 
 class TestSimulate:
     def test_constant_trace_agrees_with_formula(self, trained_dir, tmp_path, capsys):
@@ -204,6 +225,26 @@ class TestSimulate:
         assert main(["simulate", str(container), str(trace), "--out", str(tmp_path / "sim")]) == EXIT_RUNTIME
         assert "unreadable container" in capsys.readouterr().err
 
+    def test_container_cut_in_base_chunk_is_unreadable(self, trained_dir, tmp_path, capsys):
+        _, out = trained_dir
+        blob = (out / "asset.pd4g").read_bytes()
+        container = tmp_path / "cut.pd4g"
+        container.write_bytes(blob[: bitstream.manifest(blob).header_bytes + 3])  # 3 bytes into layer 0
+        trace = tmp_path / "trace.csv"
+        trace.write_text("10,2\n")
+        assert main(["simulate", str(container), str(trace), "--out", str(tmp_path / "sim")]) == EXIT_RUNTIME
+        assert "unreadable container: no complete base-layer chunk" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+    def test_non_utf8_trace_is_validation_error(self, trained_dir, tmp_path, capsys):
+        _, out = trained_dir
+        trace = tmp_path / "latin.csv"
+        trace.write_bytes(b"1,8\n" + NOT_UTF8)
+        assert main(["simulate", str(out / "asset.pd4g"), str(trace), "--out", str(tmp_path / "sim")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(trace) in err and "not UTF-8" in err
+        assert not (tmp_path / "sim").exists()
+
     def test_malformed_trace_names_line(self, trained_dir, tmp_path, capsys):
         _, out = trained_dir
         trace = tmp_path / "bad.csv"
@@ -218,6 +259,13 @@ class TestLatencyTable:
         assert main(["latency-table", "--sizes", str(sizes), "--bandwidths", "2,10,50"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "1.74" in out and "929.60" in out
+
+    def test_non_utf8_sizes_is_validation_error(self, tmp_path, capsys):
+        sizes = tmp_path / "sizes.csv"
+        sizes.write_bytes(b"model,1.0\n" + NOT_UTF8)
+        assert main(["latency-table", "--sizes", str(sizes)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert str(sizes) in captured.err and "not UTF-8" in captured.err and captured.out == ""
 
     def test_bad_bandwidth_list(self, tmp_path, capsys):
         sizes = tmp_path / "sizes.csv"
