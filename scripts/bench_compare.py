@@ -19,6 +19,12 @@ every end-to-end metric in ``BENCHMARK.json`` the report gives, per workload:
 It also counts the pairs whose container digests differ on their common
 rounds and prints every record with a non-empty ``problems`` list. The exit
 status is 1 if any of these three checks finds something, else 0.
+
+``--json PATH`` also writes these figures to PATH, with each side's q1,
+median and q3 per metric and the distinct ``environment`` blocks of each
+side's records. The committed ``BENCH_<n>.json`` files are written this way:
+
+    python3 scripts/bench_compare.py PARENT_DIR CHANGE_DIR --json BENCH_13.json
 """
 
 from __future__ import annotations
@@ -49,57 +55,104 @@ def relative_change(parent: float, change: float) -> float:
     return (change - parent) / abs(parent)
 
 
-def compare(parent: dict, change: dict, metrics: list[dict]) -> tuple[list[str], bool]:
-    """Report lines and whether every check passed."""
-    lines, ok = [], True
+def quartiles(values: list[float]) -> dict[str, float]:
+    """q1, median and q3, linearly interpolated (numpy's default method)."""
+    if len(values) == 1:
+        return dict.fromkeys(("q1", "median", "q3"), values[0])
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(parent: dict, change: dict, metrics: list[dict]) -> dict:
+    """Every figure and check of the report, as JSON-ready data; ``ok`` is whether every check passed."""
     pairs = sorted(parent.keys() & change.keys())
-    unpaired = sorted(parent.keys() ^ change.keys())
-    if unpaired:
-        lines.append("unpaired runs (ignored): " + ", ".join(f"{w} seed {s}" for w, s in unpaired))
-    if not pairs:
-        lines.append("no (workload, seed) pair in both directories")
-        ok = False
+    summary = {
+        "ok": bool(pairs),
+        "unpaired": [list(key) for key in sorted(parent.keys() ^ change.keys())],
+        "workloads": {},
+        "problems": {},
+        "environment": {},
+    }
     for workload in sorted({w for w, _ in pairs}):
         seeds = [s for w, s in pairs if w == workload]
-        lines.append(f"{workload}: {len(seeds)} pairs, seeds {', '.join(map(str, seeds))}")
-        lines.append(f"  {'metric':22s} {'parent':>12s} {'change':>12s} {'rel':>8s} {'wins':>6s}  bound")
+        rows = {}
         for metric in metrics:
             name, better = metric["name"], 1 if metric["better"] == "higher" else -1
             before = [parent[(workload, s)]["metrics"][name]["value"] for s in seeds]
             after = [change[(workload, s)]["metrics"][name]["value"] for s in seeds]
             rel = relative_change(statistics.median(before), statistics.median(after))
-            wins = sum(better * (b - a) > 0 for a, b in zip(before, after))
             beyond = -better * rel > metric["bound"]
-            ok &= not beyond
-            lines.append(
-                f"  {name:22s} {statistics.median(before):12.6g} {statistics.median(after):12.6g}"
-                f" {rel:+8.1%} {wins:>3d}/{len(seeds):<2d}  {'BEYOND ' if beyond else 'within '}{metric['bound']:g}"
-            )
+            summary["ok"] &= not beyond
+            rows[name] = {
+                "unit": metric["unit"],
+                "better": metric["better"],
+                "parent": quartiles(before),
+                "change": quartiles(after),
+                "relative_change": rel,
+                "wins": sum(better * (b - a) > 0 for a, b in zip(before, after)),
+                "bound": metric["bound"],
+                "beyond_bound": beyond,
+            }
         differing = []
         for seed in seeds:
             a, b = parent[(workload, seed)]["container_sha256"], change[(workload, seed)]["container_sha256"]
             common = min(len(a), len(b))
             if a[:common] != b[:common]:
                 differing.append(seed)
-        ok &= not differing
-        lines.append(f"  container digests differ on common rounds: {', '.join(map(str, differing)) or 'none'}")
+        summary["ok"] &= not differing
+        summary["workloads"][workload] = {"seeds": seeds, "metrics": rows, "digests_differ": differing}
     for side, runs in (("parent", parent), ("change", change)):
-        for (workload, seed), record in sorted(runs.items()):
-            if record.get("problems"):
-                ok = False
-                lines.append(f"problems in {side} {workload} seed {seed}: {'; '.join(record['problems'][:5])}")
-    return lines, ok
+        found = [
+            {"workload": workload, "seed": seed, "problems": record["problems"]}
+            for (workload, seed), record in sorted(runs.items())
+            if record.get("problems")
+        ]
+        summary["ok"] &= not found
+        summary["problems"][side] = found
+        # the host each side ran on, once per distinct block
+        blocks = [record["environment"] for _, record in sorted(runs.items()) if "environment" in record]
+        summary["environment"][side] = [b for i, b in enumerate(blocks) if b not in blocks[:i]]
+    return summary
+
+
+def report(summary: dict) -> list[str]:
+    """The printed form of ``summarize``'s result."""
+    lines = []
+    if summary["unpaired"]:
+        lines.append("unpaired runs (ignored): " + ", ".join(f"{w} seed {s}" for w, s in summary["unpaired"]))
+    if not summary["workloads"]:
+        lines.append("no (workload, seed) pair in both directories")
+    for workload, entry in summary["workloads"].items():
+        seeds = entry["seeds"]
+        lines.append(f"{workload}: {len(seeds)} pairs, seeds {', '.join(map(str, seeds))}")
+        lines.append(f"  {'metric':22s} {'parent':>12s} {'change':>12s} {'rel':>8s} {'wins':>6s}  bound")
+        for name, row in entry["metrics"].items():
+            lines.append(
+                f"  {name:22s} {row['parent']['median']:12.6g} {row['change']['median']:12.6g}"
+                f" {row['relative_change']:+8.1%} {row['wins']:>3d}/{len(seeds):<2d}"
+                f"  {'BEYOND ' if row['beyond_bound'] else 'within '}{row['bound']:g}"
+            )
+        lines.append(
+            f"  container digests differ on common rounds: {', '.join(map(str, entry['digests_differ'])) or 'none'}"
+        )
+    for side, found in summary["problems"].items():
+        for run in found:
+            lines.append(f"problems in {side} {run['workload']} seed {run['seed']}: {'; '.join(run['problems'][:5])}")
+    return lines
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="directory of the parent's result records")
     parser.add_argument("change", type=Path, help="directory of the change's result records")
+    parser.add_argument("--json", type=Path, metavar="PATH", help="also write the report's figures to PATH as JSON")
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    lines, ok = compare(load_runs(args.parent), load_runs(args.change), metrics)
-    print("\n".join(lines))
-    return 0 if ok else 1
+    summary = summarize(load_runs(args.parent), load_runs(args.change), metrics)
+    print("\n".join(report(summary)))
+    if args.json:
+        args.json.write_text(json.dumps(summary, indent=2) + "\n")
+    return 0 if summary["ok"] else 1
 
 
 if __name__ == "__main__":

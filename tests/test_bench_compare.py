@@ -8,19 +8,22 @@ SCRIPT = ROOT / "scripts" / "bench_compare.py"
 METRICS = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def _write_run(directory: Path, seed: int, replay_ms: float, digests=("a", "b"), problems=(), traced=False):
+def _write_run(
+    directory: Path, seed: int, replay_ms: float, digests=("a", "b"), problems=(), traced=False, environment=None
+):
     """One synthetic result record: every end-to-end metric 100 except ``replay_ms_p95``."""
     directory.mkdir(exist_ok=True)
     record = {"workload": "trace-replay", "seed": seed, "container_sha256": list(digests), "problems": list(problems)}
+    record["environment"] = environment or {"nproc": 2}
     if not traced:
         record["metrics"] = {m["name"]: {"value": 100.0, "unit": m["unit"]} for m in METRICS}
         record["metrics"]["replay_ms_p95"]["value"] = replay_ms
     (directory / f"trace-replay-seed{seed}-trace{int(traced)}.json").write_text(json.dumps(record))
 
 
-def _compare(tmp_path):
+def _compare(tmp_path, *options):
     return subprocess.run(
-        [sys.executable, str(SCRIPT), str(tmp_path / "parent"), str(tmp_path / "change")],
+        [sys.executable, str(SCRIPT), str(tmp_path / "parent"), str(tmp_path / "change"), *options],
         capture_output=True,
         text=True,
         check=False,
@@ -54,3 +57,32 @@ def test_flags_regressions_digests_and_problems(tmp_path):
     assert "differ on common rounds: 1" in result.stdout
     assert "problems in change trace-replay seed 1: round 0: decode mismatch" in result.stdout
     assert "unpaired runs (ignored): trace-replay seed 2" in result.stdout
+
+
+def test_json_holds_the_report_figures(tmp_path):
+    parent_ms, change_ms = [20.0, 19.0, 18.0, 30.0, 21.0], [10.0, 9.0, 19.0, 11.0, 12.0]
+    for seed, (before, after) in enumerate(zip(parent_ms, change_ms), start=1):
+        _write_run(tmp_path / "parent", seed, before, environment={"nproc": 2, "numpy": "1"})
+        _write_run(tmp_path / "change", seed, after, environment={"nproc": 2, "numpy": "2" if seed < 3 else "3"})
+    _write_run(tmp_path / "change", 9, 10.0, problems=["round 2: timeline mismatch"])
+    out = tmp_path / "bench.json"
+    result = _compare(tmp_path, "--json", str(out))
+    assert result.returncode == 1  # the unpaired record's problem is still a failed check
+    summary = json.loads(out.read_text())
+    assert summary["ok"] is False
+    assert summary["unpaired"] == [["trace-replay", 9]]
+    entry = summary["workloads"]["trace-replay"]
+    assert entry["seeds"] == [1, 2, 3, 4, 5] and entry["digests_differ"] == []
+    row = entry["metrics"]["replay_ms_p95"]
+    assert row["parent"] == {"q1": 19.0, "median": 20.0, "q3": 21.0}
+    assert row["change"] == {"q1": 10.0, "median": 11.0, "q3": 12.0}
+    assert row["relative_change"] == (11.0 - 20.0) / 20.0
+    assert (row["wins"], row["bound"], row["beyond_bound"], row["unit"]) == (4, 0.25, False, "ms")
+    assert entry["metrics"].keys() == {m["name"] for m in METRICS}
+    assert summary["problems"] == {
+        "parent": [],
+        "change": [{"workload": "trace-replay", "seed": 9, "problems": ["round 2: timeline mismatch"]}],
+    }
+    assert summary["environment"]["parent"] == [{"nproc": 2, "numpy": "1"}]
+    assert summary["environment"]["change"] == [{"nproc": 2, "numpy": "2"}, {"nproc": 2, "numpy": "3"}, {"nproc": 2}]
+    assert _row(result.stdout, "replay_ms_p95")[1:5] == ["20", "11", "-45.0%", "4/5"]  # the printed report agrees
