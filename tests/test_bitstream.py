@@ -1,13 +1,14 @@
 import hashlib
 import lzma
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 from pd4g.acceptance import expected_reconstruction, random_asset
-from pd4g.asset import AnchorSet, DeformationTable, LocalResiduals, MaskBank
+from pd4g.asset import AnchorSet, DeformationTable, LocalResiduals, MaskBank, active_set
 from pd4g.bitstream import (
     CHUNK_ENTRY_SIZE,
     HEADER_BASE_SIZE,
@@ -20,6 +21,7 @@ from pd4g.bitstream import (
     encode,
     manifest,
 )
+from pd4g.entropy import quantize_array
 from pd4g.toyscene import DEFAULT_QUANT_STEPS, make_scene
 
 
@@ -523,3 +525,134 @@ class TestPrefixProperty:
             assert np.array_equal(decoded.deformations.local.d_scale, exp_tables["d_scale"])
             assert np.array_equal(decoded.deformations.local.d_opacity, exp_tables["d_opacity"])
             assert np.array_equal(decoded.deformations.local.d_color, exp_tables["d_color"])
+
+
+# member anchors of levels 0, 1 and 2 among 12; "nested" gives a layer 2 that
+# carries every anchor of the union, and a layer 1 that carries all of the
+# level-1 prefix's union but a strict subset of the full one
+ORACLE_MEMBERS = {
+    "nested": (range(6), range(9), range(12)),
+    "scattered": ((0, 1, 2, 3), (2, 3, 7, 9), (1, 4, 10, 11)),
+    "one member": ((5,), (3,), (5, 8)),
+}
+
+
+def _oracle_asset(members, steps: int, span: int):
+    """12 anchors (D=2, F=3) whose deformation tables are ``ints * step``, |ints| <= ``span``."""
+    rng = np.random.default_rng([steps, span])
+    n, step = 12, DEFAULT_QUANT_STEPS["deform"]
+    anchors = AnchorSet(
+        positions=rng.normal(0, 0.5, (n, 2)),
+        features=rng.normal(0, 1, (n, 3)),
+        scales=rng.uniform(0.2, 2.0, n),
+        offsets=rng.normal(0, 0.5, (n, 2)),
+        opacities=rng.uniform(0, 1, n),
+        colors=rng.uniform(0, 1, (n, 3)),
+    )
+    levels = []
+    for level in members:
+        mask = np.zeros(n)
+        mask[list(level)] = rng.uniform(0.6, 1.0, len(level))
+        levels.append(mask)
+
+    def table(*shape):
+        return rng.integers(-span, span + 1, (steps, n, *shape)) * step
+
+    local = LocalResiduals(table(2), table(), table(), table(3))
+    deformations = DeformationTable(np.linspace(0, 1, steps + 2)[1:-1], table(2), table(3), local)
+    return anchors, MaskBank(levels=tuple(levels)), deformations
+
+
+def _expected_prefix(anchors, bank, deformations, max_level: int):
+    """Every decoded array of a prefix up to ``max_level``, built from the source asset.
+
+    Each level's member rows are quantized and scaled, then placed at the
+    members' positions in the union of the levels present; all else is zero.
+    """
+    q = DEFAULT_QUANT_STEPS
+    members = [active_set(bank.level(level), bank.threshold) for level in range(max_level + 1)]
+    union = np.unique(np.concatenate(members))
+    arrays = {"anchor_indices": union}
+    for name, family in (("positions", "position"), ("features", "feature"), ("scales", "scale"), ("offsets", "offset")):
+        arrays[name] = quantize_array(getattr(anchors, name)[union], q[family]) * q[family]
+    for name in ("opacities", "colors"):
+        arrays[name] = getattr(anchors, name)[union].astype(np.float32).astype(np.float64)
+    for level in range(3):
+        arrays[f"mask {level}"] = np.zeros(union.size)
+        if level <= max_level:
+            at = np.searchsorted(union, members[level])
+            arrays[f"mask {level}"][at] = quantize_array(bank.level(level)[members[level]], q["mask"]) * q["mask"]
+    if max_level == 0:
+        return arrays
+    arrays["timesteps"] = deformations.timesteps
+    loc = deformations.local
+    named = {
+        1: {"displacements": deformations.displacements, "feature_residuals": deformations.feature_residuals},
+        2: {"d_position": loc.d_position, "d_scale": loc.d_scale, "d_opacity": loc.d_opacity, "d_color": loc.d_color},
+    }
+    for level, tables in named.items():
+        for name, source in tables.items():
+            full = np.zeros((source.shape[0], union.size, *source.shape[2:]))
+            if level <= max_level:
+                at = np.searchsorted(union, members[level])
+                full[:, at] = quantize_array(source[:, members[level]], q["deform"]) * q["deform"]
+            arrays[name] = full
+    return arrays
+
+
+def _decoded_arrays(decoded) -> dict[str, np.ndarray]:
+    a, t = decoded.anchors, decoded.deformations
+    arrays = {"anchor_indices": decoded.anchor_indices}
+    arrays |= {name: getattr(a, name) for name in ("positions", "features", "scales", "offsets", "opacities", "colors")}
+    arrays |= {f"mask {level}": decoded.bank.level(level) for level in range(3)}
+    if t is not None:
+        arrays |= {"timesteps": t.timesteps, "displacements": t.displacements, "feature_residuals": t.feature_residuals}
+        arrays |= vars(t.local)
+    return arrays
+
+
+@pytest.mark.parametrize("span", [100, 30000, 2**31 - 1], ids=["1-byte", "2-byte", "4-byte"])
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("case", sorted(ORACLE_MEMBERS))
+def test_decoded_tables_match_source(case, steps, span):
+    anchors, bank, deformations = _oracle_asset(ORACLE_MEMBERS[case], steps, span)
+    blob = encode(anchors, bank, deformations)
+    cuts = manifest(blob).cumulative_sizes
+    prefixes = [(level, end) for level, end in enumerate(cuts)] + [(1, (cuts[1] + cuts[2]) // 2)]
+    for max_level, end in prefixes:
+        decoded = decode_prefix(blob[:end])
+        assert decoded.max_level == max_level
+        got, expected = _decoded_arrays(decoded), _expected_prefix(anchors, bank, deformations, max_level)
+        assert got.keys() == expected.keys()
+        for name, want in expected.items():
+            have = got[name]
+            assert have.dtype == want.dtype and have.shape == want.shape, (max_level, name)
+            if have.dtype == np.float64:  # bit for bit, so a -0.0 for +0.0 fails
+                have, want = have.view(np.uint64), want.view(np.uint64)
+            assert np.array_equal(have, want), (max_level, name)
+
+
+def test_full_decode_peak_allocation():
+    # 1024 anchors x 32 timesteps with nested masks: 85% of the anchors in
+    # layer 0, 92.5% in layer 1 and all of them in layer 2. The decoder holds
+    # each dense table once more while the frozen asset copies it; a further
+    # float copy of the rows pushed the peak to 3.2-3.4x the output.
+    n = 1024
+    scene = make_scene("motion-dense", n, 32, seed=3, image_size=(8, 8))
+    rng = np.random.default_rng(3)
+    order = rng.permutation(n)
+    levels = []
+    for share in (0.85, 0.925, 1.0):
+        mask = np.zeros(n)
+        mask[order[: round(share * n)]] = rng.uniform(0.6, 1.0, round(share * n))
+        levels.append(mask)
+    blob = encode(scene.anchors, MaskBank(levels=tuple(levels)), scene.deformations)
+    tracemalloc.start()
+    try:
+        decoded = decode_prefix(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = sum(a.nbytes for a in _decoded_arrays(decoded).values())
+    assert decoded.max_level == 2 and decoded.anchors.count == n
+    assert peak <= 2.6 * output, f"peak {peak / 1e6:.2f} MB for {output / 1e6:.2f} MB of decoded arrays"
