@@ -330,7 +330,8 @@ def manifest(data: bytes) -> LayerManifest:
 
     Only chunks whose compressed extent is fully present are listed, so the
     manifest of a boundary-truncated prefix describes exactly the layers that
-    prefix can deliver.
+    prefix can deliver. A prefix without a complete base chunk raises
+    ``TruncatedStreamError``, as in ``decode_prefix``.
     """
     h = _parse_header(data)
     present = []
@@ -340,6 +341,8 @@ def manifest(data: bytes) -> LayerManifest:
         if offset > len(data):
             break
         present.append(info)
+    if not present:
+        raise TruncatedStreamError("no complete base-layer chunk in the stream")
     return LayerManifest(header_bytes=h["header_bytes"], chunks=tuple(present))
 
 

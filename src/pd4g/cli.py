@@ -16,7 +16,7 @@ import numpy as np
 
 from . import acceptance, bitstream, stream, toyscene
 from .asset import LAYER_COUNT, MaskBank
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, parse_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_run_config(args) -> RunConfig:
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
+        cfg = parse_config(_read_text(Path(args.config))) if args.config else RunConfig()
         if args.seed is not None:
             cfg.seed = args.seed
         if args.out is not None:
@@ -182,8 +182,6 @@ def cmd_simulate(args) -> int:
         man = bitstream.manifest(container.read_bytes())
     except (bitstream.FormatError, bitstream.TruncatedStreamError) as exc:
         raise _CliError(EXIT_RUNTIME, f"unreadable container: {exc}") from exc
-    if not man.chunks:  # the manifest lists only complete chunks
-        raise _CliError(EXIT_RUNTIME, "unreadable container: no complete base-layer chunk in the stream")
     try:
         trace = stream.BandwidthTrace.from_csv(_read_text(trace_path))
     except stream.TraceParseError as exc:

@@ -173,8 +173,4 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    return parse_config(text)
+    return parse_config(Path(path).read_text())
