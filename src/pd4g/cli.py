@@ -195,7 +195,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     (out / "timeline.json").write_text(timeline_json)
-    bandwidths = [2.0, 10.0, 50.0]
+    bandwidths = stream.DEFAULT_BANDWIDTHS_MBPS
     rows = stream.latency_table([man], bandwidths, labels=[container.name])
     (out / "latency.csv").write_text(stream.latency_table_csv(rows, bandwidths))
 
@@ -302,7 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("latency-table", help="first-frame latency grid for model sizes")
     p.add_argument("--sizes", required=True, help="CSV of label,size_mb rows")
-    p.add_argument("--bandwidths", default="2,10,50", help="comma-separated Mbps list")
+    p.add_argument(
+        "--bandwidths",
+        default=",".join(f"{b:g}" for b in stream.DEFAULT_BANDWIDTHS_MBPS),
+        help="comma-separated Mbps list",
+    )
     p.add_argument("--out", help="output directory for the CSV")
     p.set_defaults(fn=cmd_latency_table)
 

@@ -16,7 +16,13 @@ the language of Python 3.11's ``Fraction(str)``: an optional sign, digits with
 ``_`` separators, then either ``/denominator`` or an optional ``.fraction``
 and ``e``/``E`` exponent, with whitespace around the field. The one
 difference is that it refuses a decimal exponent beyond ``MAX_EXPONENT`` in
-magnitude before building any power of ten.
+magnitude before building any power of ten. ``from_csv`` reads each distinct
+field text of a column once per call and reuses the value on later lines; it
+keeps nothing between calls.
+
+A trace whose common duration denominator, or common rate denominator, has
+more than ``MAX_DENOMINATOR_DIGITS`` decimal digits is refused when it is
+built, as the integral's integers grow with those digits.
 """
 
 from __future__ import annotations
@@ -37,6 +43,9 @@ from .bitstream import LayerManifest
 BYTES_PER_MB = 10**6
 BYTES_PER_MBIT = BYTES_PER_MB // 8
 MAX_EXPONENT = 1000  # largest decimal exponent magnitude a trace number may carry
+DEFAULT_BANDWIDTHS_MBPS = (2.0, 10.0, 50.0)  # the latency-table columns when none are given
+MAX_DENOMINATOR_DIGITS = 1100  # most decimal digits of a trace's common duration, or rate, denominator
+_DENOMINATOR_LIMIT = 10**MAX_DENOMINATOR_DIGITS
 LAYER_DESCRIPTIONS = (
     "static scaffold",
     "static scaffold + global deformation",
@@ -123,6 +132,19 @@ def _segment(duration: tuple[int, int], mbps: tuple[int, int]) -> tuple[Fraction
     return Fraction(*duration), Fraction(*mbps)
 
 
+def _check_common_denominators(per_s: int, per_mbps: int) -> None:
+    """Refuse common denominators of more than ``MAX_DENOMINATOR_DIGITS`` digits.
+
+    The integral counts time and bytes in units of these denominators, so
+    its integers grow with their digits: without the bound, a few hundred
+    kilobytes of distinct duration denominators keep ``simulate`` busy for
+    minutes.
+    """
+    for column, common in (("duration", per_s), ("rate", per_mbps)):
+        if common >= _DENOMINATOR_LIMIT:
+            raise ValueError(f"common {column} denominator has more than {MAX_DENOMINATOR_DIGITS} digits")
+
+
 class _Integral(NamedTuple):
     """Byte arrival over a trace in integers at common denominators.
 
@@ -149,7 +171,12 @@ class BandwidthTrace:
     def __post_init__(self):
         if not self.segments:
             raise ValueError("trace requires at least one segment")
-        object.__setattr__(self, "segments", tuple(_segment(_ratio(d), _ratio(m)) for d, m in self.segments))
+        segments = tuple(_segment(_ratio(d), _ratio(m)) for d, m in self.segments)
+        per_s = per_mbps = 1
+        for d, m in segments:
+            per_s, per_mbps = math.lcm(per_s, d.denominator), math.lcm(per_mbps, m.denominator)
+            _check_common_denominators(per_s, per_mbps)
+        object.__setattr__(self, "segments", segments)
 
     @staticmethod
     def constant(mbps, duration=Fraction(10**9)) -> "BandwidthTrace":
@@ -166,6 +193,8 @@ class BandwidthTrace:
         be at most ``MAX_EXPONENT`` in magnitude.
         """
         segments = []
+        durations, rates = {}, {}  # field text -> Fraction, for this call only
+        per_s = per_mbps = 1  # the lcm of the duration and of the rate denominators read so far
         for number, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
             if not body:
@@ -173,10 +202,23 @@ class BandwidthTrace:
             parts = body.split(",")
             if len(parts) != 2:
                 raise TraceParseError(number, f"expected 'duration_s,mbps', got {line!r}")
+            duration_text, mbps_text = parts
             try:
-                segments.append(_segment(_parse_ratio(parts[0]), _parse_ratio(parts[1])))
+                duration = durations.get(duration_text)
+                if duration is None:
+                    duration = durations[duration_text] = Fraction(*_parse_ratio(duration_text))
+                    per_s = math.lcm(per_s, duration.denominator)
+                mbps = rates.get(mbps_text)
+                if mbps is None:
+                    mbps = rates[mbps_text] = Fraction(*_parse_ratio(mbps_text))
+                    per_mbps = math.lcm(per_mbps, mbps.denominator)
+                if duration.numerator <= 0 or mbps.numerator < 0:
+                    _segment(duration.as_integer_ratio(), mbps.as_integer_ratio())
+                if per_s >= _DENOMINATOR_LIMIT or per_mbps >= _DENOMINATOR_LIMIT:
+                    _check_common_denominators(per_s, per_mbps)
             except (ValueError, ZeroDivisionError) as exc:
                 raise TraceParseError(number, f"{exc} in {line!r}") from exc
+            segments.append((duration, mbps))
         if not segments:
             raise TraceParseError(0, "trace file holds no segments")
         trace = object.__new__(BandwidthTrace)  # the segments are validated already
@@ -185,10 +227,13 @@ class BandwidthTrace:
 
     @cached_property
     def _integral(self) -> _Integral:
-        per_s = math.lcm(*(d.denominator for d, _ in self.segments))
-        per_mbps = math.lcm(*(m.denominator for _, m in self.segments))
-        ticks = [d.numerator * (per_s // d.denominator) for d, _ in self.segments]
-        rates = [m.numerator * (per_mbps // m.denominator) * BYTES_PER_MBIT for _, m in self.segments]
+        durations = [d.as_integer_ratio() for d, _ in self.segments]
+        mbps = [m.as_integer_ratio() for _, m in self.segments]
+        per_s = math.lcm(*{q for _, q in durations})
+        per_mbps = math.lcm(*{q for _, q in mbps})
+        units_per_mbps = per_mbps * BYTES_PER_MBIT
+        ticks = [p * (per_s // q) for p, q in durations]
+        rates = [p * (units_per_mbps // q) for p, q in mbps]
         ends = list(accumulate(ticks))
         positive = [i for i, rate in enumerate(rates) if rate]
         arrived = list(accumulate(ticks[i] * rates[i] for i in positive))
@@ -396,20 +441,26 @@ def latency_table(
 
     Entries of ``manifests`` are either LayerManifest objects (their total
     size is used) or plain sizes in decimal MB. Returns one row per model
-    with per-bandwidth latencies in seconds.
+    with per-bandwidth latencies in seconds. ``labels``, when given, names
+    each entry; raises ``ValueError`` when their counts differ or when
+    ``bandwidths`` is empty.
     """
     for b in bandwidths:
         _check_bandwidth(b)
+    if labels is not None and len(labels) != len(manifests):
+        raise ValueError(f"{len(labels)} labels for {len(manifests)} entries")
     rows = []
     for i, entry in enumerate(manifests):
         size_mb = entry.total_bytes / BYTES_PER_MB if isinstance(entry, LayerManifest) else entry
-        label = labels[i] if labels else f"model-{i}"
+        label = f"model-{i}" if labels is None else labels[i]
         try:
             _check_size(size_mb)
             latencies = [first_frame_latency(size_mb, b) for b in bandwidths]
         except ValueError as exc:
             raise ValueError(f"{label}: {exc}") from None
         rows.append({"label": label, "size_mb": float(size_mb), "latency_s": latencies})
+    if not bandwidths:
+        raise ValueError("the bandwidths list is empty")
     return rows
 
 
