@@ -193,7 +193,9 @@ class BandwidthTrace:
         be at most ``MAX_EXPONENT`` in magnitude.
         """
         segments = []
-        durations, rates = {}, {}  # field text -> Fraction, for this call only
+        # field text -> Fraction, per column and for this call only: a text found
+        # here was parsed and checked for its column on an earlier line
+        durations, rates = {}, {}
         per_s = per_mbps = 1  # the lcm of the duration and of the rate denominators read so far
         for number, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
@@ -203,21 +205,20 @@ class BandwidthTrace:
             if len(parts) != 2:
                 raise TraceParseError(number, f"expected 'duration_s,mbps', got {line!r}")
             duration_text, mbps_text = parts
-            try:
-                duration = durations.get(duration_text)
-                if duration is None:
-                    duration = durations[duration_text] = Fraction(*_parse_ratio(duration_text))
-                    per_s = math.lcm(per_s, duration.denominator)
-                mbps = rates.get(mbps_text)
-                if mbps is None:
-                    mbps = rates[mbps_text] = Fraction(*_parse_ratio(mbps_text))
-                    per_mbps = math.lcm(per_mbps, mbps.denominator)
-                if duration.numerator <= 0 or mbps.numerator < 0:
-                    _segment(duration.as_integer_ratio(), mbps.as_integer_ratio())
-                if per_s >= _DENOMINATOR_LIMIT or per_mbps >= _DENOMINATOR_LIMIT:
-                    _check_common_denominators(per_s, per_mbps)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise TraceParseError(number, f"{exc} in {line!r}") from exc
+            duration = durations.get(duration_text)
+            mbps = rates.get(mbps_text)
+            if duration is None or mbps is None:
+                try:
+                    duration, mbps = _segment(
+                        _parse_ratio(duration_text) if duration is None else duration.as_integer_ratio(),
+                        _parse_ratio(mbps_text) if mbps is None else mbps.as_integer_ratio(),
+                    )
+                    per_s, per_mbps = math.lcm(per_s, duration.denominator), math.lcm(per_mbps, mbps.denominator)
+                    if per_s >= _DENOMINATOR_LIMIT or per_mbps >= _DENOMINATOR_LIMIT:
+                        _check_common_denominators(per_s, per_mbps)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise TraceParseError(number, f"{exc} in {line!r}") from exc
+                durations[duration_text], rates[mbps_text] = duration, mbps
             segments.append((duration, mbps))
         if not segments:
             raise TraceParseError(0, "trace file holds no segments")

@@ -197,6 +197,17 @@ class TestSimulate:
         assert timeline["first_frame_time_s"] == pytest.approx(expected, abs=1e-12)
         assert (sim_out / "latency.csv").exists()
 
+    def test_latency_csv_pinned(self, trained_dir, tmp_path, capsys):
+        _, out = trained_dir
+        trace = tmp_path / "trace.csv"
+        trace.write_text("10,2\n")
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", str(out / "asset.pd4g"), str(trace), "--out", str(sim_out)]) == EXIT_OK
+        assert (sim_out / "latency.csv").read_text() == (
+            "label,size_mb,latency_2mbps_s,latency_10mbps_s,latency_50mbps_s\n"
+            "asset.pd4g,0.000592,0.00,0.00,0.00\n"
+        )
+
     def test_zero_throughput_is_distinct_from_errors(self, trained_dir, tmp_path, capsys):
         _, out = trained_dir
         trace = tmp_path / "stall.csv"
@@ -259,6 +270,14 @@ class TestLatencyTable:
         assert main(["latency-table", "--sizes", str(sizes), "--bandwidths", "2,10,50"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "1.74" in out and "929.60" in out
+
+    def test_default_bandwidths(self, capsys):
+        sizes = Path(__file__).resolve().parent.parent / "data" / "reference_model_sizes.csv"
+        assert main(["latency-table", "--sizes", str(sizes)]) == EXIT_OK
+        default = capsys.readouterr().out
+        assert default.startswith("label,size_mb,latency_2mbps_s,latency_10mbps_s,latency_50mbps_s\n")
+        assert main(["latency-table", "--sizes", str(sizes), "--bandwidths", "2,10,50"]) == EXIT_OK
+        assert capsys.readouterr().out == default
 
     def test_non_utf8_sizes_is_validation_error(self, tmp_path, capsys):
         sizes = tmp_path / "sizes.csv"

@@ -1,6 +1,7 @@
 import fractions
 import json
 import math
+import random
 import sys
 import time
 from fractions import Fraction
@@ -12,13 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pd4g import bitstream
+from pd4g import bitstream, stream
 from pd4g.acceptance import random_asset
 from pd4g.stream import (
     MAX_EXPONENT,
     BandwidthTrace,
     TraceParseError,
     _parse_ratio,
+    _segment,
     emit_abr_manifest,
     first_frame_latency,
     latency_table,
@@ -188,6 +190,38 @@ def _fraction_segments(text: str) -> tuple:
             duration, mbps = body.split(",")
             segments.append((Fraction(duration), Fraction(mbps)))
     return tuple(segments)
+
+
+def _reference_from_csv(text: str):
+    """The per-line loop ``from_csv`` ran before it read each distinct field once.
+
+    Returns the segments, or the ``TraceParseError`` that loop raised.
+    """
+    segments = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split(",")
+        if len(parts) != 2:
+            return TraceParseError(number, f"expected 'duration_s,mbps', got {line!r}")
+        try:
+            segments.append(_segment(_parse_ratio(parts[0]), _parse_ratio(parts[1])))
+        except (ValueError, ZeroDivisionError) as exc:
+            return TraceParseError(number, f"{exc} in {line!r}")
+    if not segments:
+        return TraceParseError(0, "trace file holds no segments")
+    return tuple(segments)
+
+
+# few enough fields that they repeat across lines and columns: valid, zero,
+# negative, malformed, zero-denominator and beyond-exponent numbers
+_FIELD_POOL = ["1", " 1", "8", "0", "-0", "-1", "0.5", ".25", "+2.5e-1", "1/3", "3/1_0", "-2/3", "1/0", "abc", "", "1e1001"]
+_TRACE_LINES = st.one_of(
+    st.builds("{},{}".format, st.sampled_from(_FIELD_POOL), st.sampled_from(_FIELD_POOL)),
+    st.builds("{},{} # note".format, st.sampled_from(_FIELD_POOL), st.sampled_from(_FIELD_POOL)),
+    st.sampled_from(["", "  ", "# comment", "8", "1,2,3"]),
+)
 
 
 class TestFirstFrameLatency:
@@ -401,6 +435,53 @@ class TestTraceParsing:
             numerator, denominator = _parse_ratio(field)
             assert denominator > 0 and Fraction(numerator, denominator) == want
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_TRACE_LINES, min_size=1, max_size=8).map("\n".join))
+    @example("1,0\n0,8\n")
+    @example("-1,abc")
+    @example("8,1\n1,8\n8,-1\n")
+    def test_parser_matches_per_line_reference(self, text):
+        want = _reference_from_csv(text)
+        try:
+            got = BandwidthTrace.from_csv(text)
+        except TraceParseError as exc:
+            assert isinstance(want, TraceParseError), exc
+            assert (exc.line_number, str(exc)) == (want.line_number, str(want))
+        else:
+            assert got.segments == want
+            assert all(type(value) is Fraction for segment in got.segments for value in segment)
+
+    def test_repeated_fields_are_checked_in_each_column_and_line(self):
+        # "0" was read as a valid rate on line 1 and is still refused as a duration
+        with pytest.raises(TraceParseError) as err:
+            BandwidthTrace.from_csv("1,0\n0,8\n")
+        assert err.value.line_number == 2 and "segment durations must be positive" in str(err.value)
+        # both fields are parsed before either sign is checked
+        with pytest.raises(TraceParseError, match="invalid number 'abc'"):
+            BandwidthTrace.from_csv("-1,abc")
+
+    @pytest.mark.parametrize("column", ["duration", "rate"])
+    def test_denominator_bound(self, column):
+        rng = random.Random(14)
+        denominators = [rng.randrange(10**399, 10**400) for _ in range(1000)]
+        lines = [f"1/{q},8" if column == "duration" else f"8,1/{q}" for q in denominators]
+        common, crossing = 1, None
+        for number, q in enumerate(denominators, start=1):
+            common = math.lcm(common, q)
+            if common >= 10**stream.MAX_DENOMINATOR_DIGITS:
+                crossing = number
+                break
+        assert crossing is not None
+        BandwidthTrace.from_csv("\n".join(lines[: crossing - 1]))
+        started = time.perf_counter()
+        with pytest.raises(TraceParseError, match=f"common {column} denominator") as err:
+            BandwidthTrace.from_csv("\n".join(lines) + "\n")
+        assert time.perf_counter() - started < 0.5
+        assert err.value.line_number == crossing
+        segments = [(Fraction(1, q), 8) if column == "duration" else (8, Fraction(1, q)) for q in denominators]
+        with pytest.raises(ValueError, match=f"common {column} denominator"):
+            BandwidthTrace(segments=tuple(segments))
+
     @pytest.mark.parametrize("name", ["constant_2mbps.csv", "collapse_and_recover.csv"])
     def test_bundled_traces_read_as_fraction_does(self, name):
         text = (TRACES / name).read_text()
@@ -461,6 +542,15 @@ class TestLatencyTable:
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError):
             latency_table([1.0], [0.0])
+
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]], ids=["fewer", "more"])
+    def test_rejects_label_count_mismatch(self, labels):
+        with pytest.raises(ValueError, match=f"{len(labels)} labels for 2 entries"):
+            latency_table([1.0, 2.0], [2.0], labels=labels)
+
+    def test_rejects_empty_bandwidths(self):
+        with pytest.raises(ValueError, match="bandwidths list is empty"):
+            latency_table([1.0], [])
 
     def test_rejects_overflowing_latency(self):
         with pytest.raises(ValueError, match="model-0: .*overflows"):
