@@ -190,7 +190,9 @@ class BandwidthTrace:
         (``1/3``) or decimal with an optional exponent (``1.5``, ``.5``,
         ``2e-3``), with whitespace allowed around it: the language of
         Python 3.11's ``Fraction(str)``, except that the decimal exponent must
-        be at most ``MAX_EXPONENT`` in magnitude.
+        be at most ``MAX_EXPONENT`` in magnitude. The line at which the common
+        duration or rate denominator first passes ``MAX_DENOMINATOR_DIGITS``
+        digits is refused.
         """
         segments = []
         # field text -> Fraction, per column and for this call only: a text found
@@ -460,7 +462,7 @@ def latency_table(
         except ValueError as exc:
             raise ValueError(f"{label}: {exc}") from None
         rows.append({"label": label, "size_mb": float(size_mb), "latency_s": latencies})
-    if not bandwidths:
+    if not bandwidths:  # checked after the sizes, so that a bad size is still named first
         raise ValueError("the bandwidths list is empty")
     return rows
 

@@ -216,7 +216,10 @@ def _reference_from_csv(text: str):
 
 # few enough fields that they repeat across lines and columns: valid, zero,
 # negative, malformed, zero-denominator and beyond-exponent numbers
-_FIELD_POOL = ["1", " 1", "8", "0", "-0", "-1", "0.5", ".25", "+2.5e-1", "1/3", "3/1_0", "-2/3", "1/0", "abc", "", "1e1001"]
+_FIELD_POOL = (
+    ["1", " 1", "8", "0", "-0", "-1", "0.5", ".25", "+2.5e-1"]
+    + ["1/3", "3/1_0", "-2/3", "1/0", "abc", "", "1e1001"]
+)
 _TRACE_LINES = st.one_of(
     st.builds("{},{}".format, st.sampled_from(_FIELD_POOL), st.sampled_from(_FIELD_POOL)),
     st.builds("{},{} # note".format, st.sampled_from(_FIELD_POOL), st.sampled_from(_FIELD_POOL)),
@@ -453,9 +456,10 @@ class TestTraceParsing:
 
     def test_repeated_fields_are_checked_in_each_column_and_line(self):
         # "0" was read as a valid rate on line 1 and is still refused as a duration
-        with pytest.raises(TraceParseError) as err:
-            BandwidthTrace.from_csv("1,0\n0,8\n")
-        assert err.value.line_number == 2 and "segment durations must be positive" in str(err.value)
+        for text in ("1,0\n0,8\n", "1,0\n0,0\n"):
+            with pytest.raises(TraceParseError) as err:
+                BandwidthTrace.from_csv(text)
+            assert err.value.line_number == 2 and "segment durations must be positive" in str(err.value)
         # both fields are parsed before either sign is checked
         with pytest.raises(TraceParseError, match="invalid number 'abc'"):
             BandwidthTrace.from_csv("-1,abc")
