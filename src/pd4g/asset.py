@@ -7,6 +7,14 @@ per-anchor local residuals (position, scale, opacity, color); the splat
 kernel ``toyscene._Splat`` applies them when rendering. All types are
 immutable after construction and every operation returns new values, so the
 model is safe for concurrent reads.
+
+Construction stores each array read-only. An input that is a base
+``np.ndarray`` of the field's dtype, C-contiguous, owning its memory and
+already read-only is adopted as it is; any other input, a caller's writeable
+array among them, is copied. Marking a fresh array read-only with
+``read_only`` before handing it over is a promise that nothing writes it
+afterwards, through it or through a view of it: the decoder and the scene
+generator hand over their own tables this way, so each exists once.
 """
 
 from __future__ import annotations
@@ -24,10 +32,23 @@ class MissingLayerError(ValueError):
     """A level above 0 was requested but no deformation data is available."""
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, marked read-only so that the asset types adopt it without a copy."""
+    a.flags.writeable = False
+    return a
+
+
 def _frozen(a, dtype=np.float64) -> np.ndarray:
-    arr = np.array(a, dtype=dtype, copy=True)
-    arr.flags.writeable = False
-    return arr
+    """``a`` as a read-only array of ``dtype``: adopted if it qualifies (see the module docstring), else copied."""
+    if (
+        type(a) is np.ndarray
+        and a.dtype == dtype
+        and a.flags.c_contiguous
+        and a.flags.owndata
+        and not a.flags.writeable
+    ):
+        return a
+    return read_only(np.array(a, dtype=dtype, copy=True))
 
 
 def check_layer(level: int) -> int:
@@ -116,7 +137,7 @@ class MaskBank:
         levels = tuple(np.asarray(m, dtype=np.float64) for m in self.levels)
         if any(np.isnan(m).any() for m in levels):
             raise ValueError("mask values must not be NaN")
-        clamped = tuple(_frozen(np.clip(m, 0.0, 1.0)) for m in levels)
+        clamped = tuple(_frozen(read_only(np.clip(m, 0.0, 1.0))) for m in levels)
         object.__setattr__(self, "levels", clamped)
         counts = {m.shape for m in self.levels}
         if len(counts) != 1 or self.levels[0].ndim != 1:

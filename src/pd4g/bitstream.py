@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .asset import AnchorSet, DeformationTable, LocalResiduals, MaskBank, active_set
+from .asset import AnchorSet, DeformationTable, LocalResiduals, MaskBank, active_set, read_only
 from .entropy import quantize_array
 
 MAGIC = b"PD4G"
@@ -150,7 +150,8 @@ class DecodedPrefix:
     ``anchors`` holds every anchor carried by the decoded layers, ordered by
     ascending original index (``anchor_indices``). ``deformations`` is None
     when only the base layer arrived. Mask levels are zero for anchors that
-    were inactive (hence not transmitted) at that level.
+    were inactive (hence not transmitted) at that level. Every array is
+    read-only.
     """
 
     max_level: int
@@ -474,16 +475,18 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
     max_level = payloads[-1][0].layer
     bank_levels = [np.zeros(n) for _ in range(3)]
     full_tables = {}
+    # every array handed to the asset types below is fresh and held nowhere
+    # else, so it is marked read-only and adopted rather than copied
     for level, (members, masks, tables) in enumerate(level_rows):
         at = np.searchsorted(union, members)
         bank_levels[level][at] = masks
-        full_tables[level] = [_dense_table(rows, at, n, q["deform"]) for rows in tables]
+        full_tables[level] = [read_only(_dense_table(rows, at, n, q["deform"])) for rows in tables]
     if max_level == 1:
-        full_tables[2] = [np.zeros((step_count, n, *s)) for s in table_shapes[2]]
+        full_tables[2] = [read_only(np.zeros((step_count, n, *s))) for s in table_shapes[2]]
 
     try:
-        anchors = AnchorSet(*(np.concatenate(field)[first] for field in zip(*records)))
-        bank = MaskBank(levels=tuple(bank_levels))
+        anchors = AnchorSet(*(read_only(np.concatenate(field)[first]) for field in zip(*records)))
+        bank = MaskBank(levels=tuple(read_only(m) for m in bank_levels))
         deformations = None
         if max_level >= 1:
             deformations = DeformationTable(timesteps, *full_tables[1], LocalResiduals(*full_tables[2]))
@@ -495,6 +498,6 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
         anchors=anchors,
         deformations=deformations,
         bank=bank,
-        anchor_indices=union,
+        anchor_indices=read_only(union),
         original_count=h["count"],
     )

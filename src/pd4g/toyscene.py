@@ -25,6 +25,7 @@ from .asset import (
     MissingLayerError,
     activation_rate,
     check_layer,
+    read_only,
 )
 from .bitstream import DEFAULT_QUANT_STEPS
 from .seeds import counter_uniform, derive_seed, rng_for
@@ -328,20 +329,24 @@ def make_scene(
         opacities[dims] *= rng.uniform(0.05, 0.45, size=dims.size)
         scales[dims] *= rng.uniform(0.55, 0.90, size=dims.size)
 
+    # the arrays are this call's own, so the asset types adopt them read-only
     anchors = AnchorSet(
-        positions=positions,
-        features=features,
-        scales=scales,
-        offsets=offsets,
-        opacities=opacities,
-        colors=colors,
+        positions=read_only(positions),
+        features=read_only(features),
+        scales=read_only(scales),
+        offsets=read_only(offsets),
+        opacities=read_only(opacities),
+        colors=read_only(colors),
     )
     deformations = DeformationTable(
-        timesteps=times,
-        displacements=displacements,
-        feature_residuals=feature_residuals,
+        timesteps=read_only(times),
+        displacements=read_only(displacements),
+        feature_residuals=read_only(feature_residuals),
         local=LocalResiduals(
-            d_position=d_position, d_scale=d_scale, d_opacity=d_opacity, d_color=d_color
+            d_position=read_only(d_position),
+            d_scale=read_only(d_scale),
+            d_opacity=read_only(d_opacity),
+            d_color=read_only(d_color),
         ),
     )
 
