@@ -8,13 +8,14 @@ kernel ``toyscene._Splat`` applies them when rendering. All types are
 immutable after construction and every operation returns new values, so the
 model is safe for concurrent reads.
 
-Construction stores each array read-only. An input that is a base
-``np.ndarray`` of the field's dtype, C-contiguous, owning its memory and
-already read-only is adopted as it is; any other input, a caller's writeable
-array among them, is copied. Marking a fresh array read-only with
-``read_only`` before handing it over is a promise that nothing writes it
-afterwards, through it or through a view of it: the decoder and the scene
-generator hand over their own tables this way, so each exists once.
+Construction stores each array read-only. An input that is a float64
+``np.ndarray`` (not a subclass), C-contiguous, owning its memory and already
+read-only is adopted as it is; any other input, a caller's writeable array
+among them, is copied. ``MaskBank`` stores the clamped copy it makes of each
+level. Marking a fresh array with ``read_only`` before handing it over is a
+promise that nothing writes it afterwards, through it or through a view of
+it: ``bitstream.decode_prefix`` and ``toyscene.make_scene`` hand over their
+own arrays this way, so each exists once.
 """
 
 from __future__ import annotations

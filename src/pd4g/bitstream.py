@@ -384,16 +384,20 @@ def _check_indices(idx: np.ndarray, bound: int, what: str) -> None:
 def _dense_table(rows: np.ndarray, at: np.ndarray, n: int, step: float) -> np.ndarray:
     """The float table with ``rows * step`` in columns ``at`` of ``n`` and zeros elsewhere.
 
-    Each value is written once and scaled in place. The int to float64 cast is
-    exact and ``0.0 * step`` is +0.0 (``step > 0``), so every bit equals that of
-    ``index * step``.
+    The rows are scaled once, followed by one zero column, and the table takes
+    each of its ``n`` columns from there in a single gather, which is several
+    times faster than a scatter into zeros. The int to float64 cast is exact and
+    the zero column is +0.0, so every bit equals that of ``index * step``.
     """
-    if rows.shape[1] == n:  # the layer carries every anchor of the union: ``at`` is 0..n-1
+    m = rows.shape[1]
+    if m == n:  # the layer carries every anchor of the union: ``at`` is 0..n-1
         return np.multiply(rows, step, dtype=np.float64)
-    full = np.zeros((rows.shape[0], n, *rows.shape[2:]))
-    full[:, at] = rows
-    full *= step
-    return full
+    scaled = np.empty((rows.shape[0], m + 1, *rows.shape[2:]))
+    np.multiply(rows, step, out=scaled[:, :m])
+    scaled[:, m] = 0.0
+    source = np.full(n, m)
+    source[at] = np.arange(m)
+    return scaled.take(source, axis=1)
 
 
 def decode_prefix(data: bytes) -> DecodedPrefix:
