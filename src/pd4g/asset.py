@@ -135,11 +135,10 @@ class MaskBank:
     def __post_init__(self):
         if len(self.levels) != LAYER_COUNT:
             raise ValueError(f"mask bank requires {LAYER_COUNT} levels")
-        levels = tuple(np.asarray(m, dtype=np.float64) for m in self.levels)
+        levels = tuple(np.array(m, dtype=np.float64) for m in self.levels)  # own copies, clamped in place
         if any(np.isnan(m).any() for m in levels):
             raise ValueError("mask values must not be NaN")
-        clamped = tuple(_frozen(read_only(np.clip(m, 0.0, 1.0))) for m in levels)
-        object.__setattr__(self, "levels", clamped)
+        object.__setattr__(self, "levels", tuple(read_only(np.clip(m, 0.0, 1.0, out=m)) for m in levels))
         counts = {m.shape for m in self.levels}
         if len(counts) != 1 or self.levels[0].ndim != 1:
             raise ValueError("all mask levels must be flat arrays of equal length")

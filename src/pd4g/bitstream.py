@@ -479,8 +479,9 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
     max_level = payloads[-1][0].layer
     bank_levels = [np.zeros(n) for _ in range(3)]
     full_tables = {}
-    # every array handed to the asset types below is fresh and held nowhere
-    # else, so it is marked read-only and adopted rather than copied
+    # the tables and anchor fields handed to the asset types below are fresh
+    # and held nowhere else, so they are marked read-only and adopted, not
+    # copied; MaskBank clamps the mask levels into copies of its own
     for level, (members, masks, tables) in enumerate(level_rows):
         at = np.searchsorted(union, members)
         bank_levels[level][at] = masks
@@ -490,7 +491,7 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
 
     try:
         anchors = AnchorSet(*(read_only(np.concatenate(field)[first]) for field in zip(*records)))
-        bank = MaskBank(levels=tuple(read_only(m) for m in bank_levels))
+        bank = MaskBank(levels=tuple(bank_levels))
         deformations = None
         if max_level >= 1:
             deformations = DeformationTable(timesteps, *full_tables[1], LocalResiduals(*full_tables[2]))
