@@ -14,17 +14,21 @@ every end-to-end metric in ``BENCHMARK.json`` the report gives, per workload:
 - pair wins: the pairs in which the change is better, in the metric's
   direction;
 - whether the change's median is worse than the parent's by more than the
-  metric's bound, a fraction of the parent's median.
+  metric's bound, a fraction of the parent's median;
+- whether a claimed gain holds: at least ten pairs, of which the change
+  wins at least nine tenths (ties count for neither side), and a median
+  better than the parent's by more than the parent's interquartile range.
 
 It also counts the pairs whose container digests differ on their common
 rounds and prints every record with a non-empty ``problems`` list. The exit
 status is 1 if any of these three checks finds something, else 0.
 
 ``--json PATH`` also writes these figures to PATH, with each side's q1,
-median and q3 per metric and the distinct ``environment`` blocks of each
-side's records. The committed ``BENCH_<n>.json`` files are written this way:
+median and q3 per metric, the claim verdict (``claim_holds``) and the
+distinct ``environment`` blocks of each side's records. The committed
+``BENCH_<n>.json`` files are written this way:
 
-    python3 scripts/bench_compare.py PARENT_DIR CHANGE_DIR --json BENCH_13.json
+    python3 scripts/bench_compare.py PARENT_DIR CHANGE_DIR --json BENCH_<n>.json
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CLAIM_MIN_PAIRS = 10
+CLAIM_WIN_SHARE = 0.9
 
 
 def load_runs(directory: Path) -> dict[tuple[str, int], dict]:
@@ -80,18 +86,24 @@ def summarize(parent: dict, change: dict, metrics: list[dict]) -> dict:
             name, better = metric["name"], 1 if metric["better"] == "higher" else -1
             before = [parent[(workload, s)]["metrics"][name]["value"] for s in seeds]
             after = [change[(workload, s)]["metrics"][name]["value"] for s in seeds]
-            rel = relative_change(statistics.median(before), statistics.median(after))
+            q_before, q_after = quartiles(before), quartiles(after)
+            rel = relative_change(q_before["median"], q_after["median"])
             beyond = -better * rel > metric["bound"]
             summary["ok"] &= not beyond
+            wins = sum(better * (b - a) > 0 for a, b in zip(before, after))  # a tie is no win
+            gap = better * (q_after["median"] - q_before["median"])
             rows[name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
-                "parent": quartiles(before),
-                "change": quartiles(after),
+                "parent": q_before,
+                "change": q_after,
                 "relative_change": rel,
-                "wins": sum(better * (b - a) > 0 for a, b in zip(before, after)),
+                "wins": wins,
                 "bound": metric["bound"],
                 "beyond_bound": beyond,
+                "claim_holds": len(seeds) >= CLAIM_MIN_PAIRS
+                and wins >= CLAIM_WIN_SHARE * len(seeds)
+                and gap > q_before["q3"] - q_before["q1"],
             }
         differing = []
         for seed in seeds:
@@ -125,12 +137,13 @@ def report(summary: dict) -> list[str]:
     for workload, entry in summary["workloads"].items():
         seeds = entry["seeds"]
         lines.append(f"{workload}: {len(seeds)} pairs, seeds {', '.join(map(str, seeds))}")
-        lines.append(f"  {'metric':22s} {'parent':>12s} {'change':>12s} {'rel':>8s} {'wins':>6s}  bound")
+        lines.append(f"  {'metric':22s} {'parent':>12s} {'change':>12s} {'rel':>8s} {'wins':>6s}  {'bound':12s} claim")
         for name, row in entry["metrics"].items():
             lines.append(
                 f"  {name:22s} {row['parent']['median']:12.6g} {row['change']['median']:12.6g}"
                 f" {row['relative_change']:+8.1%} {row['wins']:>3d}/{len(seeds):<2d}"
-                f"  {'BEYOND ' if row['beyond_bound'] else 'within '}{row['bound']:g}"
+                f"  {'BEYOND ' if row['beyond_bound'] else 'within '}{row['bound']:<5g}"
+                f" {'holds' if row['claim_holds'] else '-'}"
             )
         lines.append(
             f"  container digests differ on common rounds: {', '.join(map(str, entry['digests_differ'])) or 'none'}"

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from pd4g.asset import (
     activation_rate,
     active_set,
 )
-from pd4g.toyscene import _pairwise_d2, _pixel_grid, _Splat
+from pd4g.toyscene import ToyScene, _pairwise_d2, _pixel_grid, _Splat
 
 PIXELS = _pixel_grid(8, 8)
 
@@ -267,3 +267,84 @@ class TestDeformationTable:
         assert table.nearest_index(0.0) == 0
         assert table.nearest_index(0.26) == 1
         assert table.nearest_index(0.9) == 2
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _array_fields(*owners):
+    """name -> (build from a new value, read the stored value, the current value) for each array field."""
+    cases = {}
+    for owner in owners:
+        for f in fields(owner):
+            value = getattr(owner, f.name)
+            if isinstance(value, np.ndarray):
+                cases[f"{type(owner).__name__}.{f.name}"] = (
+                    lambda v, owner=owner, name=f.name: replace(owner, **{name: v}),
+                    lambda built, name=f.name: getattr(built, name),
+                    value,
+                )
+    return cases
+
+
+_ANCHORS = make_anchors()
+_TABLE = make_table(_ANCHORS)
+# the types that store an input as it is when it qualifies for adoption
+ADOPTING = _array_fields(_ANCHORS, _TABLE, _TABLE.local)
+_BANK = MaskBank(levels=(np.full(4, 0.5), np.ones(4), np.ones(4)))
+ALL_FIELDS = ADOPTING | _array_fields(
+    ToyScene(anchors=_ANCHORS, deformations=_TABLE, image_size=(8, 8), ground_truth=np.zeros((3, 8, 8, 3)))
+)
+ALL_FIELDS["MaskBank.levels"] = (
+    lambda v: replace(_BANK, levels=(v, *_BANK.levels[1:])),
+    lambda built: built.levels[0],
+    _BANK.levels[0],
+)
+
+
+class TestConstructionCopies:
+    """Construction adopts a fresh read-only array and copies every other input."""
+
+    @pytest.mark.parametrize("field", sorted(ALL_FIELDS))
+    def test_writeable_input_is_copied(self, field):
+        build, read, value = ALL_FIELDS[field]
+        mine = np.array(value)
+        built = build(mine)
+        mine += 0.25
+        stored = read(built)
+        assert not stored.flags.writeable and not np.shares_memory(stored, mine)
+        assert np.array_equal(stored, value)
+
+    @pytest.mark.parametrize("field", sorted(ADOPTING))
+    def test_read_only_owned_array_is_adopted(self, field):
+        build, read, value = ADOPTING[field]
+        mine = _read_only(np.array(value))
+        assert np.shares_memory(read(build(mine)), mine)
+
+    @pytest.mark.parametrize(
+        "field, form",
+        [
+            (field, form)
+            for field, (_, _, value) in sorted(ADOPTING.items())
+            # a flat array that owns its memory is always contiguous
+            for form in ("view", "non-contiguous", "float32")
+            if form != "non-contiguous" or value.ndim > 1
+        ],
+    )
+    def test_other_read_only_inputs_are_copied(self, field, form):
+        build, read, value = ADOPTING[field]
+        if form == "view":  # C-contiguous float64, but its memory belongs to another array
+            owner = np.array(value)
+            mine = _read_only(owner.view())
+            shared = owner
+        elif form == "non-contiguous":  # owns its memory in Fortran order
+            mine = shared = _read_only(np.array(value, order="F"))
+            assert mine.flags.owndata and not mine.flags.c_contiguous
+        else:
+            mine = shared = _read_only(np.array(value, dtype=np.float32))
+        stored = read(build(mine))
+        assert stored.dtype == np.float64 and not stored.flags.writeable
+        assert not np.shares_memory(stored, shared)
+        assert np.array_equal(stored, mine)

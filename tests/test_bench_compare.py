@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench_compare.py"
 METRICS = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
@@ -42,7 +44,7 @@ def test_reports_medians_wins_and_bounds(tmp_path):
     result = _compare(tmp_path)
     assert result.returncode == 0, result.stdout
     assert "trace-replay: 3 pairs, seeds 1, 2, 3" in result.stdout
-    assert _row(result.stdout, "replay_ms_p95") == ["replay_ms_p95", "19", "10", "-47.4%", "2/3", "within", "0.25"]
+    assert _row(result.stdout, "replay_ms_p95") == ["replay_ms_p95", "19", "10", "-47.4%", "2/3", "within", "0.25", "-"]
     assert _row(result.stdout, "psnr_l0_db")[3:5] == ["+0.0%", "0/3"]
     assert "differ on common rounds: none" in result.stdout
 
@@ -86,3 +88,29 @@ def test_json_holds_the_report_figures(tmp_path):
     assert summary["environment"]["parent"] == [{"nproc": 2, "numpy": "1"}]
     assert summary["environment"]["change"] == [{"nproc": 2, "numpy": "2"}, {"nproc": 2, "numpy": "3"}, {"nproc": 2}]
     assert _row(result.stdout, "replay_ms_p95")[1:5] == ["20", "11", "-45.0%", "4/5"]  # the printed report agrees
+
+
+PARENT_MS = [20.0 + i for i in range(10)]  # median 24.5, quartiles 22.25 and 26.75: an IQR of 4.5
+
+
+@pytest.mark.parametrize(
+    "change_ms, holds",
+    [
+        ([p - 6 for p in PARENT_MS[:9]] + [PARENT_MS[9]], True),  # 9 wins and a tie; median gap 6
+        ([p - 4 for p in PARENT_MS[:9]] + [PARENT_MS[9]], False),  # 9 wins, but a median gap of 4 < IQR
+        ([p - 6 for p in PARENT_MS[:8]] + PARENT_MS[8:], False),  # 8 wins and two ties
+        ([p - 6 for p in PARENT_MS[:9]], False),  # 9 of 9 won, but fewer than ten pairs
+        ([p + 6 for p in PARENT_MS], False),  # every pair lost
+    ],
+    ids=["holds", "gap-within-iqr", "eight-wins", "nine-pairs", "worse"],
+)
+def test_claim_rule(tmp_path, change_ms, holds):
+    for seed, (before, after) in enumerate(zip(PARENT_MS, change_ms), start=1):
+        _write_run(tmp_path / "parent", seed, before)
+        _write_run(tmp_path / "change", seed, after)
+    out = tmp_path / "bench.json"
+    result = _compare(tmp_path, "--json", str(out))
+    metrics = json.loads(out.read_text())["workloads"]["trace-replay"]["metrics"]
+    assert metrics["replay_ms_p95"]["claim_holds"] is holds
+    assert not any(row["claim_holds"] for name, row in metrics.items() if name != "replay_ms_p95")  # all ties
+    assert _row(result.stdout, "replay_ms_p95")[-1] == ("holds" if holds else "-")

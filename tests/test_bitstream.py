@@ -632,11 +632,9 @@ def test_decoded_tables_match_source(case, steps, span):
             assert np.array_equal(have, want), (max_level, name)
 
 
-def test_full_decode_peak_allocation():
-    # 1024 anchors x 32 timesteps with nested masks: 85% of the anchors in
-    # layer 0, 92.5% in layer 1 and all of them in layer 2. The decoder holds
-    # each dense table once more while the frozen asset copies it; a further
-    # float copy of the rows pushed the peak to 3.2-3.4x the output.
+def _nested_blob() -> bytes:
+    """1024 anchors x 32 timesteps with nested masks: 85% of the anchors in
+    layer 0, 92.5% in layer 1 and all of them in layer 2."""
     n = 1024
     scene = make_scene("motion-dense", n, 32, seed=3, image_size=(8, 8))
     rng = np.random.default_rng(3)
@@ -646,13 +644,44 @@ def test_full_decode_peak_allocation():
         mask = np.zeros(n)
         mask[order[: round(share * n)]] = rng.uniform(0.6, 1.0, round(share * n))
         levels.append(mask)
-    blob = encode(scene.anchors, MaskBank(levels=tuple(levels)), scene.deformations)
+    return encode(scene.anchors, MaskBank(levels=tuple(levels)), scene.deformations)
+
+
+def _decode_peak(prefix: bytes):
+    """The decoded prefix, the ``tracemalloc`` peak of decoding it, and the bytes of its arrays."""
     tracemalloc.start()
     try:
-        decoded = decode_prefix(blob)
+        decoded = decode_prefix(prefix)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    output = sum(a.nbytes for a in _decoded_arrays(decoded).values())
-    assert decoded.max_level == 2 and decoded.anchors.count == n
+    return decoded, peak, sum(a.nbytes for a in _decoded_arrays(decoded).values())
+
+
+def test_full_decode_peak_allocation():
+    # the coarse bound: a float copy of the int rows (3.2-3.4x the output)
+    # breaks it; test_decode_peak_allocation_without_copies holds 1.6x
+    decoded, peak, output = _decode_peak(_nested_blob())
+    assert decoded.max_level == 2 and decoded.anchors.count == 1024
     assert peak <= 2.6 * output, f"peak {peak / 1e6:.2f} MB for {output / 1e6:.2f} MB of decoded arrays"
+
+
+@pytest.mark.parametrize("max_level", [1, 2])
+def test_decode_peak_allocation_without_copies(max_level):
+    # the asset types adopt the decoder's own read-only tables, so each
+    # exists once: about 1.45x (level 1) and 1.49x (level 2) the output,
+    # the rest being the decompressed payloads and int rows
+    blob = _nested_blob()
+    prefix = blob[: manifest(blob).cumulative_sizes[max_level]]
+    decoded, peak, output = _decode_peak(prefix)
+    assert decoded.max_level == max_level
+    assert peak <= 1.6 * output, f"peak {peak / 1e6:.2f} MB for {output / 1e6:.2f} MB of decoded arrays"
+
+
+@pytest.mark.parametrize("cut", ["layer 0", "layer 1", "inside layer 2", "layer 2"])
+def test_decoded_arrays_are_read_only(asset, cut):
+    blob = encode(*asset)
+    cuts = manifest(blob).cumulative_sizes
+    end = {"layer 0": cuts[0], "layer 1": cuts[1], "inside layer 2": (cuts[1] + cuts[2]) // 2, "layer 2": cuts[2]}
+    arrays = _decoded_arrays(decode_prefix(blob[: end[cut]]))
+    assert [name for name, a in arrays.items() if a.flags.writeable] == []
