@@ -1,8 +1,12 @@
 """Deterministic bandwidth-trace streaming simulator and ABR manifest emission.
 
-Byte arrival is integrated exactly: each trace carries its integral in
-integers at common denominators (segment start times, cumulative bytes at
-the end of each positive-rate segment, and its zero-rate runs), and
+A trace stores each segment as reduced integer ratios (numerator and
+positive denominator of its seconds and of its Mbps) with the lcm of each
+column's denominators; its ``Fraction`` view, ``segments``, is built only
+when read, and neither the parser nor the simulator reads it. Byte arrival
+is integrated exactly from those integers: each trace carries its integral
+in integers at the common denominators (segment start times, cumulative
+bytes at the end of each positive-rate segment, and its zero-rate runs), and
 ``simulate`` places every layer completion by bisection over the cumulative
 bytes, so completion instants carry no time-stepping error and come out as
 exact ``Fraction``s. Sizes use decimal megabytes (1e6 bytes) and throughput
@@ -17,8 +21,8 @@ the language of Python 3.11's ``Fraction(str)``: an optional sign, digits with
 and ``e``/``E`` exponent, with whitespace around the field. The one
 difference is that it refuses a decimal exponent beyond ``MAX_EXPONENT`` in
 magnitude before building any power of ten. ``from_csv`` reads each distinct
-field text of a column once per call and reuses the value on later lines; it
-keeps nothing between calls.
+field text of a column once per call, reduces it with one ``gcd`` and reuses
+that ratio on later lines; it keeps nothing between calls.
 
 A trace whose common duration denominator, or common rate denominator, has
 more than ``MAX_DENOMINATOR_DIGITS`` decimal digits is refused when it is
@@ -32,10 +36,10 @@ import math
 import operator
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .bitstream import LayerManifest
@@ -118,18 +122,32 @@ def _parse_ratio(field: str) -> tuple[int, int]:
     return (-numerator if sign == "-" else numerator), denominator
 
 
+def _reduced(ratio: tuple[int, int]) -> tuple[int, int]:
+    numerator, denominator = ratio
+    common = math.gcd(numerator, denominator)
+    return numerator // common, denominator // common
+
+
 def _ratio(value) -> tuple[int, int]:
-    """(numerator, positive denominator): strings through ``_parse_ratio``, other values through ``Fraction``."""
-    return _parse_ratio(value) if isinstance(value, str) else Fraction(value).as_integer_ratio()
+    """Reduced (numerator, positive denominator): strings through ``_parse_ratio``, other values through ``Fraction``.
+
+    Raises ``ValueError`` naming an infinite or NaN value, which has no ratio.
+    """
+    if isinstance(value, str):
+        return _reduced(_parse_ratio(value))
+    try:
+        return Fraction(value).as_integer_ratio()
+    except (OverflowError, ValueError):  # what ``Fraction`` raises for an infinity and for a NaN
+        raise ValueError(f"trace numbers must be finite, got {value!r}") from None
 
 
-def _segment(duration: tuple[int, int], mbps: tuple[int, int]) -> tuple[Fraction, Fraction]:
-    """One validated segment as exact (seconds, Mbps), from (numerator, positive denominator) pairs."""
+def _segment(duration: tuple[int, int], mbps: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """One validated segment as (seconds, Mbps) ratios, each a (numerator, positive denominator) pair."""
     if duration[0] <= 0:
         raise ValueError("segment durations must be positive")
     if mbps[0] < 0:
         raise ValueError("throughput cannot be negative")
-    return Fraction(*duration), Fraction(*mbps)
+    return duration, mbps
 
 
 def _check_common_denominators(per_s: int, per_mbps: int) -> None:
@@ -162,21 +180,35 @@ class _Integral(NamedTuple):
     stalls: list[tuple[StreamEvent, StreamEvent]]  # per run: its stall-begin and stall-end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BandwidthTrace:
-    """Piecewise-constant throughput timeline: (duration seconds, Mbps) segments."""
+    """Piecewise-constant throughput timeline: (duration seconds, Mbps) segments.
 
-    segments: tuple[tuple[Fraction, Fraction], ...]
+    Each segment is held as reduced integer ratios, ``((seconds numerator,
+    denominator), (Mbps numerator, denominator))`` with positive
+    denominators; equality and hash go by these ratios. ``segments`` is the
+    same timeline as ``Fraction``s, built on first read.
+    """
 
-    def __post_init__(self):
-        if not self.segments:
+    ratios: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    per_s: int = field(compare=False, repr=False)  # the lcm of the duration denominators
+    per_mbps: int = field(compare=False, repr=False)  # the lcm of the rate denominators
+
+    def __init__(self, segments: Sequence[tuple[object, object]]):
+        """``segments`` holds (seconds, Mbps) pairs of numbers or of strings read by ``_parse_ratio``."""
+        if not segments:
             raise ValueError("trace requires at least one segment")
-        segments = tuple(_segment(_ratio(d), _ratio(m)) for d, m in self.segments)
+        ratios = tuple(_segment(_ratio(d), _ratio(m)) for d, m in segments)
         per_s = per_mbps = 1
-        for d, m in segments:
-            per_s, per_mbps = math.lcm(per_s, d.denominator), math.lcm(per_mbps, m.denominator)
+        for (_, q), (_, r) in ratios:
+            per_s, per_mbps = math.lcm(per_s, q), math.lcm(per_mbps, r)
             _check_common_denominators(per_s, per_mbps)
-        object.__setattr__(self, "segments", segments)
+        self.__dict__.update(ratios=ratios, per_s=per_s, per_mbps=per_mbps)
+
+    @cached_property
+    def segments(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The segments as exact (seconds, Mbps) ``Fraction``s."""
+        return tuple((Fraction(*d), Fraction(*m)) for d, m in self.ratios)
 
     @staticmethod
     def constant(mbps, duration=Fraction(10**9)) -> "BandwidthTrace":
@@ -194,9 +226,9 @@ class BandwidthTrace:
         duration or rate denominator first passes ``MAX_DENOMINATOR_DIGITS``
         digits is refused.
         """
-        segments = []
-        # field text -> Fraction, per column and for this call only: a text found
-        # here was parsed and checked for its column on an earlier line
+        ratios = []
+        # field text -> reduced ratio, per column and for this call only: a text
+        # found here was parsed and checked for its column on an earlier line
         durations, rates = {}, {}
         per_s = per_mbps = 1  # the lcm of the duration and of the rate denominators read so far
         for number, line in enumerate(text.splitlines(), start=1):
@@ -212,51 +244,47 @@ class BandwidthTrace:
             if duration is None or mbps is None:
                 try:
                     duration, mbps = _segment(
-                        _parse_ratio(duration_text) if duration is None else duration.as_integer_ratio(),
-                        _parse_ratio(mbps_text) if mbps is None else mbps.as_integer_ratio(),
+                        _reduced(_parse_ratio(duration_text)) if duration is None else duration,
+                        _reduced(_parse_ratio(mbps_text)) if mbps is None else mbps,
                     )
-                    per_s, per_mbps = math.lcm(per_s, duration.denominator), math.lcm(per_mbps, mbps.denominator)
+                    per_s, per_mbps = math.lcm(per_s, duration[1]), math.lcm(per_mbps, mbps[1])
                     if per_s >= _DENOMINATOR_LIMIT or per_mbps >= _DENOMINATOR_LIMIT:
                         _check_common_denominators(per_s, per_mbps)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise TraceParseError(number, f"{exc} in {line!r}") from exc
                 durations[duration_text], rates[mbps_text] = duration, mbps
-            segments.append((duration, mbps))
-        if not segments:
+            ratios.append((duration, mbps))
+        if not ratios:
             raise TraceParseError(0, "trace file holds no segments")
-        trace = object.__new__(BandwidthTrace)  # the segments are validated already
-        object.__setattr__(trace, "segments", tuple(segments))
+        trace = object.__new__(BandwidthTrace)  # the ratios are validated and reduced already
+        trace.__dict__.update(ratios=tuple(ratios), per_s=per_s, per_mbps=per_mbps)
         return trace
 
     @cached_property
     def _integral(self) -> _Integral:
-        durations = [d.as_integer_ratio() for d, _ in self.segments]
-        mbps = [m.as_integer_ratio() for _, m in self.segments]
-        per_s = math.lcm(*{q for _, q in durations})
-        per_mbps = math.lcm(*{q for _, q in mbps})
-        units_per_mbps = per_mbps * BYTES_PER_MBIT
-        ticks = [p * (per_s // q) for p, q in durations]
-        rates = [p * (units_per_mbps // q) for p, q in mbps]
+        per_s = self.per_s
+        units_per_mbps = self.per_mbps * BYTES_PER_MBIT
+        ticks = [p * (per_s // q) for (p, q), _ in self.ratios]
+        rates = [p * (units_per_mbps // q) for _, (p, q) in self.ratios]
         ends = list(accumulate(ticks))
         positive = [i for i, rate in enumerate(rates) if rate]
         arrived = list(accumulate(ticks[i] * rates[i] for i in positive))
-        units_per_byte = per_s * per_mbps
+        units_per_byte = per_s * self.per_mbps
 
         runs_after, stalls = [], []
-        for stalled, run in groupby(range(len(rates)), lambda i: not rates[i]):
-            if not stalled:
-                continue
-            run = list(run)
-            before = bisect_left(positive, run[0])
-            held = Fraction(arrived[before - 1] if before else 0, units_per_byte)
-            begin = Fraction(ends[run[0]] - ticks[run[0]], per_s)
-            runs_after.append(before)
-            stalls.append(
-                (
-                    StreamEvent(begin, "stall-begin", None, held),
-                    StreamEvent(Fraction(ends[run[-1]], per_s), "stall-end", None, held),
+        previous = -1  # the last positive-rate segment passed
+        for before, i in enumerate(positive + [len(rates)]):
+            if i > previous + 1:  # segments previous+1 .. i-1 are a maximal zero-rate run
+                held = Fraction(arrived[before - 1] if before else 0, units_per_byte)
+                begin = Fraction(ends[previous] if before else 0, per_s)
+                runs_after.append(before)
+                stalls.append(
+                    (
+                        StreamEvent(begin, "stall-begin", None, held),
+                        StreamEvent(Fraction(ends[i - 1], per_s), "stall-end", None, held),
+                    )
                 )
-            )
+            previous = i
         return _Integral(
             ticks_per_s=per_s,
             units_per_byte=units_per_byte,

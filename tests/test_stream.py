@@ -1,9 +1,12 @@
 import fractions
+import hashlib
 import json
 import math
 import random
+import re
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -206,7 +209,8 @@ def _reference_from_csv(text: str):
         if len(parts) != 2:
             return TraceParseError(number, f"expected 'duration_s,mbps', got {line!r}")
         try:
-            segments.append(_segment(_parse_ratio(parts[0]), _parse_ratio(parts[1])))
+            duration, mbps = _segment(_parse_ratio(parts[0]), _parse_ratio(parts[1]))
+            segments.append((Fraction(*duration), Fraction(*mbps)))
         except (ValueError, ZeroDivisionError) as exc:
             return TraceParseError(number, f"{exc} in {line!r}")
     if not segments:
@@ -225,6 +229,20 @@ _TRACE_LINES = st.one_of(
     st.builds("{},{} # note".format, st.sampled_from(_FIELD_POOL), st.sampled_from(_FIELD_POOL)),
     st.sampled_from(["", "  ", "# comment", "8", "1,2,3"]),
 )
+
+
+# size lists replayed by the timeline pin: a base layer, the benchmark's
+# catalogue-like ladders, and one past every pinned trace's total
+_PINNED_SIZES = ([436_000], [400_000, 1_100_000, 9_000_000], [436_000, 1_623_000, 6_898_000], [232_400_000])
+# sha256 of repr((events, first_frame_time, final_level, total_bytes)) over
+# ``_PINNED_SIZES``, recorded while traces were still stored as Fractions
+_PINNED_TIMELINES = {
+    "constant_2mbps.csv": "fb8936b99b7a3b8c9e90d9fddfdfed54c434877a0139d40bb97ac6325b95f38c",
+    "collapse_and_recover.csv": "f70600784dc32643308fdb4eefc9667557476fa81d4305b17df908366314c50f",
+    931: "3d6e14d884fa7a646f17a35ba6e2319874853be16090cd4826f5e47b1f51bafb",
+    7: "d2fd09615825ae25eab4ad8cbf24fd3d5fb4c0ebea5447249ce46ff7a08b58e0",
+    6301: "0ed3f312082139699474d175acfc4a51bc85842b22c0ba8ee69f6713e0ed6df5",
+}
 
 
 class TestFirstFrameLatency:
@@ -367,6 +385,30 @@ class TestSimulate:
         for sizes in ([436_000], [6_880_000], [232_400_000], [400_000, 1_100_000, 9_000_000], [math.floor(total) + 1]):
             _assert_matches_reference(sizes, trace)
 
+    @pytest.mark.parametrize("source", list(_PINNED_TIMELINES))
+    def test_timelines_pinned(self, source):
+        text = (TRACES / source).read_text() if isinstance(source, str) else _benchmark_style_trace(source)
+        trace = BandwidthTrace.from_csv(text)
+        digest = hashlib.sha256()
+        for sizes in _PINNED_SIZES:
+            t = simulate(sizes, trace)
+            digest.update(repr((t.events, t.first_frame_time, t.final_level, t.total_bytes)).encode())
+        assert digest.hexdigest() == _PINNED_TIMELINES[source]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_streams(), st.booleans())
+    def test_rebuilt_from_segments_equals_the_trace(self, stream, via_csv):
+        trace, sizes = stream
+        if via_csv:
+            text = "".join(f"{d},{m}\n" for d, m in trace.segments)
+            trace = BandwidthTrace.from_csv(text)
+        rebuilt = BandwidthTrace(segments=trace.segments)
+        assert rebuilt == trace and hash(rebuilt) == hash(trace)
+        assert rebuilt._integral == trace._integral
+        assert simulate(sizes, rebuilt) == simulate(sizes, trace)
+        if via_csv:  # a trace whose segments were never read compares alike
+            assert BandwidthTrace.from_csv(text) == rebuilt
+
     def test_completion_time_non_increasing_in_bandwidth(self):
         previous = None
         for bw in (1, 2, 5, 20, 100):
@@ -413,6 +455,20 @@ class TestTraceParsing:
             BandwidthTrace(segments=((1, -1),))
         with pytest.raises(ValueError):
             BandwidthTrace(segments=(("1e10000000", 8),))
+
+    @pytest.mark.parametrize(
+        "bad", [math.inf, -math.inf, math.nan, Decimal("Infinity"), Decimal("NaN"), np.float64(np.inf)], ids=repr
+    )
+    def test_non_finite_numbers_rejected(self, bad):
+        builds = (
+            lambda: BandwidthTrace(segments=((bad, 8),)),
+            lambda: BandwidthTrace(segments=((1, 8), (1, bad))),
+            lambda: BandwidthTrace.constant(bad),
+            lambda: BandwidthTrace.constant(8, duration=bad),
+        )
+        for build in builds:
+            with pytest.raises(ValueError, match=f"must be finite, got {re.escape(repr(bad))}"):
+                build()
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the grammar is Python 3.11's Fraction(str)")
     @settings(max_examples=1500, deadline=None)
