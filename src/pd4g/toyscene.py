@@ -182,13 +182,16 @@ class _Splat:
         d_scale = np.where(scale > 0.0, self.scale0, 0.0)
         return np.clip(alpha, 0.0, 1.0), np.maximum(scale, 0.0), d_alpha, d_scale
 
-    def falloff(self, scale: np.ndarray) -> np.ndarray:
-        """Per-anchor, per-pixel exp(-d^2 / (2 s^2)), (V, P); zero for vanished blobs."""
+    def falloff(self, scale: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per-anchor, per-pixel exp(-d^2 / (2 s^2)), (V, P); zero for vanished blobs.
+
+        Written into ``out``, a float64 (V, P) array, when one is given.
+        """
         live = scale > _SCALE_FLOOR
         # a vanished blob's row is zeroed anyway; a unit width keeps its exp
         # off numpy's slow underflow path
         s2 = np.where(live, scale, 1.0) ** 2
-        e = np.divide(self.d2, -2.0 * s2[:, None])
+        e = np.divide(self.d2, -2.0 * s2[:, None], out=out)
         np.exp(e, out=e)
         e[~live] = 0.0
         return e
@@ -357,7 +360,9 @@ def make_scene(
     return ToyScene(anchors=anchors, deformations=deformations, image_size=(width, height), ground_truth=gt)
 
 
-def _render_gradient(splat: _Splat, mask: np.ndarray, gt_flat: np.ndarray) -> tuple[float, np.ndarray]:
+def _render_gradient(
+    splat: _Splat, mask: np.ndarray, gt_flat: np.ndarray, work: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
     """L1 render loss against ``gt_flat`` (P, 3) and its closed-form mask (sub)gradient.
 
     With ``G = sign(clip(raw) - gt) * 1[0 < raw < 1] / (P * 3)`` the loss
@@ -365,14 +370,20 @@ def _render_gradient(splat: _Splat, mask: np.ndarray, gt_flat: np.ndarray) -> tu
     ``alpha * E`` with ``E = exp(-d^2 / (2 s^2))`` moves with the mask as
     ``alpha' * E + alpha * E * d^2 / s^3 * s'``. Where a clamp binds, its
     derivative (``alpha'`` or ``s'``) is zero; ``sign(0) = 0`` at exact matches.
+    ``work``, a float64 (2, V, P) array, holds the (V, P) intermediates; a
+    training run passes one for all its steps, so that no step allocates them.
     """
+    if work is None:
+        work = np.empty((2,) + splat.d2.shape)
     alpha, scale, d_alpha, d_scale = splat.attributes(mask)
-    falloff = splat.falloff(scale)
-    raw = (alpha[:, None] * falloff).T @ splat.colors  # (P, 3)
+    falloff = splat.falloff(scale, out=work[0])
+    weights = np.multiply(alpha[:, None], falloff, out=work[1])
+    raw = weights.T @ splat.colors  # (P, 3)
     diff = np.clip(raw, 0.0, 1.0) - gt_flat
     loss = float(np.mean(np.abs(diff)))
     g = np.sign(diff) * ((raw > 0.0) & (raw < 1.0)) / diff.size
-    dw = (splat.colors @ g.T) * falloff  # dL/dw * E, (V, P)
+    dw = np.matmul(splat.colors, g.T, out=work[1])
+    dw *= falloff  # dL/dw * E, (V, P)
     s3 = np.maximum(scale, _SCALE_FLOOR) ** 3
     grad = d_alpha * dw.sum(axis=1) + (alpha * d_scale / s3) * np.einsum("vp,vp->v", dw, splat.d2)
     return loss, grad
@@ -418,9 +429,10 @@ def train_masks(
     timestep_seed = derive_seed(seed, "timestep")
 
     splat_cache: dict[tuple[int, int], _Splat] = {}
+    work = np.empty((2, count, pixels.shape[0]))  # _render_gradient's (V, P) intermediates
 
     def splat_at(level: int, k: int) -> _Splat:
-        key = (level, k)
+        key = (level, k if level else 0)  # level 0 takes no deformation, so one splat serves every timestep
         if key not in splat_cache:
             t = float(scene.deformations.timesteps[k])
             splat_cache[key] = _Splat(scene.anchors, scene.deformations, level, t, pixels)
@@ -447,7 +459,7 @@ def train_masks(
         k = int(counter_uniform(timestep_seed, step) * scene.deformations.step_count)
 
         mask = levels[level]
-        render_loss, grad = _render_gradient(splat_at(level, k), mask, gt_flat[k])
+        render_loss, grad = _render_gradient(splat_at(level, k), mask, gt_flat[k], work)
         total, rate, consistency = render_loss, 0.0, 0.0
         if step >= progressive_start:
             active = mask > threshold
