@@ -29,6 +29,12 @@ distinct ``environment`` blocks of each side's records. The committed
 ``BENCH_<n>.json`` files are written this way:
 
     python3 scripts/bench_compare.py PARENT_DIR CHANGE_DIR --json BENCH_<n>.json
+
+``--tier1 PARENT_TXT CHANGE_TXT`` adds the test suite's own figures: each
+file holds the output of one or more pytest runs of a side, and every pytest
+summary line in it (``N passed, M failed ... in S s``) is recorded, with its
+counts by outcome and its seconds, under ``tier1`` in the report and the
+JSON. These runs are not paired, and they do not enter the exit status.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import statistics
 import sys
 from pathlib import Path
@@ -43,6 +50,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CLAIM_MIN_PAIRS = 10
 CLAIM_WIN_SHARE = 0.9
+# a pytest summary line, bare (-q) or between '=' rules: "466 passed, 5 warnings in 114.23s (0:01:54)"
+PYTEST_SUMMARY = re.compile(r"=*\s*(\d+ [a-z]+(?:, \d+ [a-z]+)*) in (\d+(?:\.\d+)?)s\b")
 
 
 def load_runs(directory: Path) -> dict[tuple[str, int], dict]:
@@ -52,6 +61,22 @@ def load_runs(directory: Path) -> dict[tuple[str, int], dict]:
         record = json.loads(path.read_text())
         if "metrics" in record:
             runs[(record["workload"], record["seed"])] = record
+    return runs
+
+
+def tier1_runs(path: Path) -> list[dict]:
+    """Each pytest summary line of ``path`` as its counts by outcome (plural, as in "errors") and its seconds."""
+    runs = []
+    for line in path.read_text().splitlines():
+        match = PYTEST_SUMMARY.match(line.strip())
+        if match:
+            counts = {}
+            for part in match.group(1).split(", "):
+                number, outcome = part.split()
+                counts[outcome if outcome.endswith(("s", "ed")) else outcome + "s"] = int(number)
+            runs.append({**counts, "seconds": float(match.group(2))})
+    if not runs:
+        raise ValueError(f"{path}: no pytest summary line ('N passed ... in S s')")
     return runs
 
 
@@ -151,6 +176,10 @@ def report(summary: dict) -> list[str]:
     for side, found in summary["problems"].items():
         for run in found:
             lines.append(f"problems in {side} {run['workload']} seed {run['seed']}: {'; '.join(run['problems'][:5])}")
+    for side, runs in summary.get("tier1", {}).items():
+        for run in runs:
+            counts = ", ".join(f"{n} {outcome}" for outcome, n in run.items() if outcome != "seconds")
+            lines.append(f"tier-1 {side}: {counts} in {run['seconds']:g} s")
     return lines
 
 
@@ -159,9 +188,21 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="directory of the parent's result records")
     parser.add_argument("change", type=Path, help="directory of the change's result records")
     parser.add_argument("--json", type=Path, metavar="PATH", help="also write the report's figures to PATH as JSON")
+    parser.add_argument(
+        "--tier1",
+        type=Path,
+        nargs=2,
+        metavar=("PARENT_TXT", "CHANGE_TXT"),
+        help="pytest output of each side, whose summary lines are recorded unpaired",
+    )
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     summary = summarize(load_runs(args.parent), load_runs(args.change), metrics)
+    if args.tier1:
+        try:
+            summary["tier1"] = {side: tier1_runs(path) for side, path in zip(("parent", "change"), args.tier1)}
+        except ValueError as exc:
+            parser.error(str(exc))
     print("\n".join(report(summary)))
     if args.json:
         args.json.write_text(json.dumps(summary, indent=2) + "\n")

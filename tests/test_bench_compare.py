@@ -114,3 +114,27 @@ def test_claim_rule(tmp_path, change_ms, holds):
     assert metrics["replay_ms_p95"]["claim_holds"] is holds
     assert not any(row["claim_holds"] for name, row in metrics.items() if name != "replay_ms_p95")  # all ties
     assert _row(result.stdout, "replay_ms_p95")[-1] == ("holds" if holds else "-")
+
+
+def test_tier1_summaries_are_recorded_unpaired(tmp_path):
+    _write_run(tmp_path / "parent", 1, 10.0)
+    _write_run(tmp_path / "change", 1, 10.0)
+    parent_txt, change_txt = tmp_path / "parent.txt", tmp_path / "change.txt"
+    parent_txt.write_text("....\n391 passed, 5 warnings in 114.23s (0:01:54)\n")
+    change_txt.write_text(
+        "========= 470 passed in 98.50s (0:01:38) =========\n"
+        "x\n"
+        "========= 1 failed, 469 passed, 1 error in 101s =========\n"
+    )
+    out = tmp_path / "bench.json"
+    result = _compare(tmp_path, "--json", str(out), "--tier1", str(parent_txt), str(change_txt))
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert json.loads(out.read_text())["tier1"] == {
+        "parent": [{"passed": 391, "warnings": 5, "seconds": 114.23}],
+        "change": [{"passed": 470, "seconds": 98.5}, {"failed": 1, "passed": 469, "errors": 1, "seconds": 101.0}],
+    }
+    assert "tier-1 parent: 391 passed, 5 warnings in 114.23 s" in result.stdout
+    assert "tier-1 change: 1 failed, 469 passed, 1 errors in 101 s" in result.stdout
+    change_txt.write_text("collected 0 items\n")
+    result = _compare(tmp_path, "--tier1", str(parent_txt), str(change_txt))
+    assert result.returncode == 2 and "no pytest summary line" in result.stderr
