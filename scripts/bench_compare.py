@@ -35,6 +35,12 @@ file holds the output of one or more pytest runs of a side, and every pytest
 summary line in it (``N passed, M failed ... in S s``) is recorded, with its
 counts by outcome and its seconds, under ``tier1`` in the report and the
 JSON. These runs are not paired, and they do not enter the exit status.
+
+``--verify PARENT_TXT CHANGE_TXT`` does the same for ``pd4g verify`` output:
+every criterion line (``[PASS]  7 name (  20.41s)  details``) of a side is
+recorded under ``verify``, by criterion, as its status and seconds, in file
+order. These runs are not paired either, and a FAIL does not enter the exit
+status.
 """
 
 from __future__ import annotations
@@ -52,6 +58,8 @@ CLAIM_MIN_PAIRS = 10
 CLAIM_WIN_SHARE = 0.9
 # a pytest summary line, bare (-q) or between '=' rules: "466 passed, 5 warnings in 114.23s (0:01:54)"
 PYTEST_SUMMARY = re.compile(r"=*\s*(\d+ [a-z]+(?:, \d+ [a-z]+)*) in (\d+(?:\.\d+)?)s\b")
+# a criterion line of ``pd4g verify``: "[PASS]  7 activation-rate adaptivity (  20.41s)  details"
+VERIFY_LINE = re.compile(r"\[(PASS|FAIL)\]\s+(\d+) (.+?)\s+\(\s*(\d+(?:\.\d+)?)s\)")
 
 
 def load_runs(directory: Path) -> dict[tuple[str, int], dict]:
@@ -78,6 +86,19 @@ def tier1_runs(path: Path) -> list[dict]:
     if not runs:
         raise ValueError(f"{path}: no pytest summary line ('N passed ... in S s')")
     return runs
+
+
+def verify_runs(path: Path) -> dict[str, list[dict]]:
+    """Each ``pd4g verify`` criterion line of ``path``: "<index> <name>" -> its runs' status and seconds, in order."""
+    criteria = {}
+    for line in path.read_text().splitlines():
+        match = VERIFY_LINE.match(line.strip())
+        if match:
+            status, index, name, seconds = match.groups()
+            criteria.setdefault(f"{index} {name}", []).append({"status": status, "seconds": float(seconds)})
+    if not criteria:
+        raise ValueError(f"{path}: no pd4g verify criterion line ('[PASS] n name (  s.ss s)')")
+    return criteria
 
 
 def relative_change(parent: float, change: float) -> float:
@@ -180,6 +201,10 @@ def report(summary: dict) -> list[str]:
         for run in runs:
             counts = ", ".join(f"{n} {outcome}" for outcome, n in run.items() if outcome != "seconds")
             lines.append(f"tier-1 {side}: {counts} in {run['seconds']:g} s")
+    for side, criteria in summary.get("verify", {}).items():
+        for criterion, runs in criteria.items():
+            times = " / ".join(f"{run['seconds']:g} s" + ("" if run["status"] == "PASS" else " FAIL") for run in runs)
+            lines.append(f"verify {side}: {criterion}: {times}")
     return lines
 
 
@@ -195,14 +220,22 @@ def main(argv=None) -> int:
         metavar=("PARENT_TXT", "CHANGE_TXT"),
         help="pytest output of each side, whose summary lines are recorded unpaired",
     )
+    parser.add_argument(
+        "--verify",
+        type=Path,
+        nargs=2,
+        metavar=("PARENT_TXT", "CHANGE_TXT"),
+        help="pd4g verify output of each side, whose seconds per criterion are recorded unpaired",
+    )
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     summary = summarize(load_runs(args.parent), load_runs(args.change), metrics)
-    if args.tier1:
-        try:
-            summary["tier1"] = {side: tier1_runs(path) for side, path in zip(("parent", "change"), args.tier1)}
-        except ValueError as exc:
-            parser.error(str(exc))
+    for key, paths, read in (("tier1", args.tier1, tier1_runs), ("verify", args.verify, verify_runs)):
+        if paths:
+            try:
+                summary[key] = {side: read(path) for side, path in zip(("parent", "change"), paths)}
+            except ValueError as exc:
+                parser.error(str(exc))
     print("\n".join(report(summary)))
     if args.json:
         args.json.write_text(json.dumps(summary, indent=2) + "\n")

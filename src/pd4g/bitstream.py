@@ -347,8 +347,16 @@ def manifest(data: bytes) -> LayerManifest:
     return LayerManifest(header_bytes=h["header_bytes"], chunks=tuple(present))
 
 
+# every dtype a payload array is read as, resolved once
+_DTYPES = {code: np.dtype(code) for code in ("<u4", "<f4", "<f8", *(f"<i{w}" for w in INT_WIDTHS))}
+
+
 class _Reader:
-    """Consecutive little-endian arrays of one decompressed chunk payload."""
+    """Consecutive little-endian arrays of one decompressed chunk payload.
+
+    Each array is a read-only view of the payload bytes, of a dtype from
+    ``_DTYPES``.
+    """
 
     def __init__(self, raw: bytes):
         self.raw = raw
@@ -356,14 +364,14 @@ class _Reader:
 
     def take(self, dtype: str, *shape: int) -> np.ndarray:
         """The next ``shape``-shaped array of ``dtype``; FormatError past the payload's end."""
-        dtype = np.dtype(dtype)
+        dtype = _DTYPES[dtype]
         count = math.prod(shape)
         end = self.offset + count * dtype.itemsize
         if end > len(self.raw):
             raise FormatError("chunk payload ends mid-array")
-        out = np.frombuffer(self.raw, dtype, count, self.offset).reshape(shape)
+        out = np.frombuffer(self.raw, dtype, count, self.offset)
         self.offset = end
-        return out
+        return out if len(shape) == 1 else out.reshape(shape)
 
     def ints(self, *shape: int) -> np.ndarray:
         """The next signed-int array: its width byte, then the ints at that width."""
@@ -377,7 +385,7 @@ class _Reader:
 
 
 def _check_indices(idx: np.ndarray, bound: int, what: str) -> None:
-    if idx.size and (idx[-1] >= bound or np.any(idx[1:] <= idx[:-1])):
+    if idx.size and (idx[-1] >= bound or (idx[1:] <= idx[:-1]).any()):
         raise FormatError(f"{what} must ascend strictly and stay below {bound}")
 
 
@@ -406,7 +414,15 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
     A truncation after chunk k and before the end of chunk k+1 simply yields
     ``max_level = k``; a truncated base chunk raises. CRC failures raise
     ``IntegrityError`` naming the offending layer (lower layers remain
-    decodable by re-slicing the prefix to their extent).
+    decodable by re-slicing the prefix to their extent). A payload that breaks
+    one of FORMAT.md's payload rules, an empty layer 0 among them, raises
+    ``FormatError``.
+
+    Small prefixes cost little beyond their LZMA work: each layer's anchor
+    records stay quantized ints until the union has picked one record per
+    anchor, and each field is then scaled in one multiply. When no layer
+    above the base supplements an anchor, a base-only prefix among them, the
+    union is the base layer's anchors in their stored order, with no sort.
     """
     h = _parse_header(data)
     dim, fdim, q = h["dim"], h["feature_dim"], h["quant"]
@@ -445,43 +461,53 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
             timesteps = r.take("<f8", step_count)
         if level == 0:
             n_shared, n_supp = 0, int(r.take("<u4", 1)[0])
+            if n_supp == 0:
+                raise FormatError("layer 0 carries no anchor")
         else:
             n_shared, n_supp = (int(c) for c in r.take("<u4", 2))
         refs = r.take("<u4", n_shared).astype(np.int64)
         supp = r.take("<u4", n_supp).astype(np.int64)
         _check_indices(supp, h["count"], f"layer {level} anchor indices")
         if level == 0:
-            base = supp
+            base = members = supp
         else:
             _check_indices(refs, base.size, f"layer {level} refs")
-            if np.any(np.isin(supp, base)):
+            # base ascends strictly and is not empty: each supplemental index is
+            # a base index exactly when it equals the base entry it bisects to
+            if (base.take(np.searchsorted(base, supp), mode="clip") == supp).any():
                 raise FormatError(f"layer {level} supplements an anchor that layer 0 carries")
+            members = np.sort(np.concatenate([base[refs], supp]))
         carried.append(supp)
+        # the quantized fields stay ints here and are scaled once, in the union
         block = (
-            r.ints(n_supp, dim) * q["position"],
-            r.ints(n_supp, fdim) * q["feature"],
-            r.ints(n_supp) * q["scale"],
-            r.ints(n_supp, dim) * q["offset"],
+            r.ints(n_supp, dim),
+            r.ints(n_supp, fdim),
+            r.ints(n_supp),
+            r.ints(n_supp, dim),
             r.take("<f4", n_supp),
             r.take("<f4", n_supp, 3),
         )
         records.append(block)
-        members = np.sort(np.concatenate([base[refs], supp]))
         masks = r.ints(members.size) * q["mask"]
         tables = [r.ints(step_count, members.size, *s) for s in table_shapes[level]]
         if r.offset != len(raw):
             raise FormatError(f"layer {level} chunk payload has bytes after its last array")
         level_rows.append((members, masks, tables))
 
-    # the union in ascending order; a repeated supplemental record keeps its first copy
-    union, first = np.unique(np.concatenate(carried), return_index=True)
+    if not any(supp.size for supp in carried[1:]):  # the union is the base, which ascends strictly
+        union, fields = base, records[0]
+    else:
+        # the union in ascending order; a repeated supplemental record keeps its first copy
+        union, first = np.unique(np.concatenate(carried), return_index=True)
+        fields = [np.concatenate(field)[first] for field in zip(*records)]
     n = union.size
     max_level = payloads[-1][0].layer
     bank_levels = [np.zeros(n) for _ in range(3)]
     full_tables = {}
     # the tables and anchor fields handed to the asset types below are fresh
     # and held nowhere else, so they are marked read-only and adopted, not
-    # copied; MaskBank clamps the mask levels into copies of its own
+    # copied; MaskBank clamps the mask levels into copies of its own, and
+    # AnchorSet casts the float32 opacities and colors into its own float64
     for level, (members, masks, tables) in enumerate(level_rows):
         at = np.searchsorted(union, members)
         bank_levels[level][at] = masks
@@ -490,7 +516,8 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
         full_tables[2] = [read_only(np.zeros((step_count, n, *s))) for s in table_shapes[2]]
 
     try:
-        anchors = AnchorSet(*(read_only(np.concatenate(field)[first]) for field in zip(*records)))
+        scaled = (read_only(ints * q[fam]) for ints, fam in zip(fields, ("position", "feature", "scale", "offset")))
+        anchors = AnchorSet(*scaled, *fields[4:])
         bank = MaskBank(levels=tuple(bank_levels))
         deformations = None
         if max_level >= 1:

@@ -138,3 +138,36 @@ def test_tier1_summaries_are_recorded_unpaired(tmp_path):
     change_txt.write_text("collected 0 items\n")
     result = _compare(tmp_path, "--tier1", str(parent_txt), str(change_txt))
     assert result.returncode == 2 and "no pytest summary line" in result.stderr
+
+
+def test_verify_seconds_are_recorded_per_criterion(tmp_path):
+    _write_run(tmp_path / "parent", 1, 10.0)
+    _write_run(tmp_path / "change", 1, 10.0)
+    parent_txt, change_txt = tmp_path / "parent.txt", tmp_path / "change.txt"
+    parent_txt.write_text(
+        "[PASS]  7 activation-rate adaptivity           (  32.10s)  level-2 share 0.41 > 0.12\n"
+        "1/1 criteria passed in 32.1s\n"
+        "[PASS]  7 activation-rate adaptivity           (  36.25s)  level-2 share 0.41 > 0.12\n"
+    )
+    change_txt.write_text(
+        "[PASS]  1 first-frame latency grid   (   0.52s)  12 rows\n"
+        "[FAIL] 11 simulator exactness        ( 120.00s)  raised ValueError: x (y)\n"
+        "2 of 2 criteria ...\n"
+    )
+    out = tmp_path / "bench.json"
+    result = _compare(tmp_path, "--json", str(out), "--verify", str(parent_txt), str(change_txt))
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert json.loads(out.read_text())["verify"] == {
+        "parent": {
+            "7 activation-rate adaptivity": [{"status": "PASS", "seconds": 32.1}, {"status": "PASS", "seconds": 36.25}]
+        },
+        "change": {
+            "1 first-frame latency grid": [{"status": "PASS", "seconds": 0.52}],
+            "11 simulator exactness": [{"status": "FAIL", "seconds": 120.0}],
+        },
+    }
+    assert "verify parent: 7 activation-rate adaptivity: 32.1 s / 36.25 s" in result.stdout
+    assert "verify change: 11 simulator exactness: 120 s FAIL" in result.stdout
+    change_txt.write_text("0/0 criteria passed in 0.0s\n")
+    result = _compare(tmp_path, "--verify", str(parent_txt), str(change_txt))
+    assert result.returncode == 2 and "no pd4g verify criterion line" in result.stderr

@@ -1,11 +1,15 @@
+import functools
 import hashlib
 import lzma
 import struct
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pd4g.acceptance import expected_reconstruction, random_asset
 from pd4g.asset import AnchorSet, DeformationTable, LocalResiduals, MaskBank, active_set
@@ -445,7 +449,10 @@ MALFORMED = {
     "duplicated base index": (0, _INDICES_0 + 2 * 4, "<I", 1),
     "supplemental index beyond anchor count": (2, _SUPP_2 + 2 * 4, "<I", 10**6),
     "supplemental indices out of order": (1, _SUPP_1, "<2I", 5, 4),
-    "supplemental index also in layer 0": (1, _SUPP_1, "<I", 3),
+    "supplemental index also in layer 0": (1, _SUPP_1, "<I", 3),  # the last base index
+    "supplemental index equal to the first base index": (1, _SUPP_1, "<I", 0),
+    "layer-2 supplemental index equal to the last base index": (2, _SUPP_2, "<I", 3),
+    "supplemental index equal to an inner base index": (2, _SUPP_2, "<I", 2),
     "refs out of order": (2, _REFS_2, "<2I", 2, 0),
     "opacity 2.0": (0, _OPACITIES_0, "<f", 2.0),
     "NaN opacity": (0, _OPACITIES_0 + 4, "<f", float("nan")),
@@ -455,11 +462,48 @@ MALFORMED = {
 }
 
 
+def _members(*indices) -> np.ndarray:
+    """A mask level over eight anchors: 1 for ``indices``, 0 elsewhere."""
+    mask = np.zeros(8)
+    mask[list(indices)] = 1.0
+    return mask
+
+
+def _empty_base_container() -> bytes:
+    """Eight anchors whose layer 0 carries none, while layers 1 and 2 supplement anchors 4 and 5.
+
+    ``encode`` refuses an empty base layer, so layer 0's payload is rewritten:
+    n0 = 0, then four empty record fields and empty masks, each one width byte.
+    """
+    scene = make_scene("motion-dense", 8, 2, seed=1, image_size=(8, 8), feature_dim=2)
+    blob = encode(scene.anchors, MaskBank(levels=(_members(0), _members(4, 5), _members(4, 5))), scene.deformations)
+    return _rewrite_chunk(blob, 0, 0, "<I", 0, keep=4, tail=b"\x01" * 5)
+
+
 class TestMalformedPayload:
     def test_layout_container_decodes(self):
         decoded = decode_prefix(_layout_container())
         assert decoded.anchor_indices.tolist() == list(range(8))
         assert decoded.deformations.timesteps.tolist() == [0.0, 1.0]
+
+    def test_supplemental_indices_around_the_base_decode(self):
+        # layer 1 supplements 0 (below the first base index), 3 (between base
+        # indices 2 and 5) and 7 (beyond the last); layer 2 repeats 7
+        scene = make_scene("motion-dense", 8, 2, seed=1, image_size=(8, 8), feature_dim=2)
+        bank = MaskBank(levels=(_members(2, 5), _members(0, 3, 7), _members(5, 7)))
+        decoded = decode_prefix(encode(scene.anchors, bank, scene.deformations))
+        assert decoded.anchor_indices.tolist() == [0, 2, 3, 5, 7]
+        expected, _, _ = expected_reconstruction(
+            scene.anchors, bank, scene.deformations, decoded.anchor_indices, DEFAULT_QUANT_STEPS
+        )
+        for name, want in expected.items():
+            assert np.array_equal(getattr(decoded.anchors, name), want), name
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_empty_base_layer_rejected(self, level):
+        blob = _empty_base_container()
+        with pytest.raises(FormatError, match="layer 0 carries no anchor"):
+            decode_prefix(blob[: manifest(blob).cumulative_sizes[level]])
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_rejected_as_format_error(self, case):
@@ -484,6 +528,49 @@ class TestMalformedPayload:
         blob = _rewrite_chunk(_layout_container(), layer, 0, "", tail=b"\x00" * 3)
         with pytest.raises(FormatError, match="after its last array"):
             decode_prefix(blob)
+
+
+@functools.cache
+def _contract_sources() -> tuple[bytes, ...]:
+    """Small valid containers (T and F at most 5) for the decoder contract."""
+    return _layout_container(), encode(*random_asset(np.random.default_rng(3)))
+
+
+@st.composite
+def _mutated_containers(draw) -> bytes:
+    """A small container cut at any offset, or with a few bytes of one payload or header field rewritten.
+
+    A rewritten payload is recompressed and its chunk entry and the header CRC
+    fixed; a rewritten header is resealed. The chunk count byte is left alone.
+    """
+    blob = draw(st.sampled_from(_contract_sources()))
+    how = draw(st.sampled_from(["truncate", "payload", "header"]))
+    if how == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    patch = draw(st.binary(min_size=1, max_size=4))
+    chunks = manifest(blob).chunks
+    if how == "payload":
+        layer = draw(st.integers(0, len(chunks) - 1))
+        offset = draw(st.integers(0, chunks[layer].raw_length - len(patch)))
+        return _rewrite_chunk(blob, layer, offset, f"{len(patch)}s", patch)
+    table_end = HEADER_BASE_SIZE + CHUNK_ENTRY_SIZE * len(chunks)
+    start, stop = draw(st.sampled_from([(4, HEADER_BASE_SIZE - 1), (HEADER_BASE_SIZE, table_end)]))
+    offset = draw(st.integers(start, stop - len(patch)))
+    return _reseal(blob[:offset] + patch + blob[offset + len(patch) :])
+
+
+class TestDecoderContract:
+    @settings(deadline=None, max_examples=150)
+    @given(blob=_mutated_containers())
+    @example(blob=_empty_base_container())
+    def test_input_decodes_or_raises_a_declared_error(self, blob):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                decoded = decode_prefix(blob)
+            except (FormatError, TruncatedStreamError, IntegrityError):
+                return
+        assert decoded.anchors.count == decoded.anchor_indices.size == decoded.bank.count
 
 
 class TestPrefixProperty:
