@@ -7,6 +7,8 @@ and per-level quality, showing how motion demand shifts training budget
 toward deeper layers.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from pd4g import acceptance, toyscene
@@ -15,7 +17,7 @@ if __name__ == "__main__":
     for kind in toyscene.SCENE_KINDS:
         emas, distributions, psnrs = [], [], []
         for seed in acceptance.MOTION_SEEDS:
-            _, _, report = acceptance.trained(kind, seed)
+            _, _, report = acceptance.trained(replace(acceptance.ACCEPT_RUN, scene_kind=kind, seed=seed))
             emas.append(report.final_activation_ema)
             distributions.append(report.final_distribution)
             psnrs.append(report.psnr_per_level)

@@ -38,9 +38,12 @@ JSON. These runs are not paired, and they do not enter the exit status.
 
 ``--verify PARENT_TXT CHANGE_TXT`` does the same for ``pd4g verify`` output:
 every criterion line (``[PASS]  7 name (  20.41s)  details``) of a side is
-recorded under ``verify``, by criterion, as its status and seconds, in file
-order. These runs are not paired either, and a FAIL does not enter the exit
-status.
+recorded under ``verify``, by criterion, as its status, seconds and details
+text, in file order. The criteria whose details text is not the same on every
+line of both sides are listed under ``verify_details_differ`` and in the
+report, so a change that must not move any criterion's figures shows it
+mechanically. These runs are not paired either, and neither a FAIL nor a
+differing details text enters the exit status.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ CLAIM_WIN_SHARE = 0.9
 # a pytest summary line, bare (-q) or between '=' rules: "466 passed, 5 warnings in 114.23s (0:01:54)"
 PYTEST_SUMMARY = re.compile(r"=*\s*(\d+ [a-z]+(?:, \d+ [a-z]+)*) in (\d+(?:\.\d+)?)s\b")
 # a criterion line of ``pd4g verify``: "[PASS]  7 activation-rate adaptivity (  20.41s)  details"
-VERIFY_LINE = re.compile(r"\[(PASS|FAIL)\]\s+(\d+) (.+?)\s+\(\s*(\d+(?:\.\d+)?)s\)")
+VERIFY_LINE = re.compile(r"\[(PASS|FAIL)\]\s+(\d+) (.+?)\s+\(\s*(\d+(?:\.\d+)?)s\)\s*(.*)")
 
 
 def load_runs(directory: Path) -> dict[tuple[str, int], dict]:
@@ -89,16 +92,26 @@ def tier1_runs(path: Path) -> list[dict]:
 
 
 def verify_runs(path: Path) -> dict[str, list[dict]]:
-    """Each ``pd4g verify`` criterion line of ``path``: "<index> <name>" -> its runs' status and seconds, in order."""
+    """Each ``pd4g verify`` criterion line of ``path``: "<index> <name>" -> its runs' status, seconds and details."""
     criteria = {}
     for line in path.read_text().splitlines():
         match = VERIFY_LINE.match(line.strip())
         if match:
-            status, index, name, seconds = match.groups()
-            criteria.setdefault(f"{index} {name}", []).append({"status": status, "seconds": float(seconds)})
+            status, index, name, seconds, details = match.groups()
+            run = {"status": status, "seconds": float(seconds), "details": details}
+            criteria.setdefault(f"{index} {name}", []).append(run)
     if not criteria:
         raise ValueError(f"{path}: no pd4g verify criterion line ('[PASS] n name (  s.ss s)')")
     return criteria
+
+
+def differing_details(verify: dict[str, dict[str, list[dict]]]) -> list[str]:
+    """The criteria whose details text differs between any two of their lines, on either side or across them."""
+    texts = {}
+    for criteria in verify.values():
+        for criterion, runs in criteria.items():
+            texts.setdefault(criterion, set()).update(run["details"] for run in runs)
+    return [criterion for criterion, seen in texts.items() if len(seen) > 1]
 
 
 def relative_change(parent: float, change: float) -> float:
@@ -205,6 +218,8 @@ def report(summary: dict) -> list[str]:
         for criterion, runs in criteria.items():
             times = " / ".join(f"{run['seconds']:g} s" + ("" if run["status"] == "PASS" else " FAIL") for run in runs)
             lines.append(f"verify {side}: {criterion}: {times}")
+    if "verify_details_differ" in summary:
+        lines.append(f"verify details differ: {', '.join(summary['verify_details_differ']) or 'none'}")
     return lines
 
 
@@ -225,7 +240,7 @@ def main(argv=None) -> int:
         type=Path,
         nargs=2,
         metavar=("PARENT_TXT", "CHANGE_TXT"),
-        help="pd4g verify output of each side, whose seconds per criterion are recorded unpaired",
+        help="pd4g verify output of each side, whose status, seconds and details per criterion are recorded unpaired",
     )
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
@@ -236,6 +251,8 @@ def main(argv=None) -> int:
                 summary[key] = {side: read(path) for side, path in zip(("parent", "change"), paths)}
             except ValueError as exc:
                 parser.error(str(exc))
+    if args.verify:
+        summary["verify_details_differ"] = differing_details(summary["verify"])
     print("\n".join(report(summary)))
     if args.json:
         args.json.write_text(json.dumps(summary, indent=2) + "\n")

@@ -5,7 +5,9 @@ registry runs them all with wall-clock accounting. Training-based checks
 share one in-process cache so repeated verification stays affordable.
 They train ``ACCEPT_RUN``: ``RunConfig``'s desk-scale defaults, with the
 published loss weights and threshold, and a tighter scheduler cadence (sample
-period 25, warm-up 400) than the published full-scale constants.
+period 25, warm-up 400) than the published full-scale constants. Each
+criterion's runs are declared once below, as ``RunConfig`` values derived
+from ``ACCEPT_RUN``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,22 @@ ACCEPT_TRAIN_SEED = 11
 MOTION_SEEDS = (101, 102, 103)
 SWEEP_SEED = 201
 TMC_SEEDS = (301, 302)
+
+# the runs criteria 6-9 train: 6 the motion runs, 7 each motion run against
+# its static twin, 8 the sweep, 9 each (binary term on, binary term off) pair
+MOTION_RUNS = tuple(replace(ACCEPT_RUN, scene_kind="motion-dense", seed=seed) for seed in MOTION_SEEDS)
+STATIC_RUNS = tuple(replace(ACCEPT_RUN, scene_kind="static", seed=seed) for seed in MOTION_SEEDS)
+SWEEP_RUNS = tuple(
+    replace(ACCEPT_RUN, scene_kind="mixed", seed=SWEEP_SEED, lambda_layer0=lam, train_steps=6000, learning_rate=0.8)
+    for lam in (0.00025, 0.01, 0.04)
+)
+BINARY_PAIRS = tuple(
+    tuple(
+        replace(ACCEPT_RUN, scene_kind="mixed", seed=seed, binary_weight=weight, train_steps=6000, learning_rate=0.5)
+        for weight in (1.0, 0.0)
+    )
+    for seed in TMC_SEEDS
+)
 
 # First-frame latency reference grid: representative model sizes (MB), link rates
 # (Mbps), and the latency each cell must reproduce at its stated precision.
@@ -51,34 +69,16 @@ class CriterionResult:
     seconds: float
 
 
-_TRAIN_CACHE: dict[tuple, tuple] = {}
+_TRAIN_CACHE: dict[RunConfig, tuple[toyscene.ToyScene, MaskBank, toyscene.TrainReport]] = {}
 
 
-def trained(
-    kind: str,
-    scene_seed: int,
-    *,
-    lambda_layer0: float = ACCEPT_RUN.lambda_layer0,
-    binary_weight: float = ACCEPT_RUN.binary_weight,
-    steps: int = ACCEPT_RUN.train_steps,
-    learning_rate: float = ACCEPT_RUN.learning_rate,
-) -> tuple[toyscene.ToyScene, MaskBank, toyscene.TrainReport]:
-    """Train (or fetch from cache) ``ACCEPT_RUN`` with these fields overridden."""
-    key = (kind, scene_seed, lambda_layer0, binary_weight, steps, learning_rate)
-    if key not in _TRAIN_CACHE:
-        cfg = replace(
-            ACCEPT_RUN,
-            scene_kind=kind,
-            seed=scene_seed,
-            lambda_layer0=lambda_layer0,
-            binary_weight=binary_weight,
-            train_steps=steps,
-            learning_rate=learning_rate,
-        )
+def trained(cfg: RunConfig) -> tuple[toyscene.ToyScene, MaskBank, toyscene.TrainReport]:
+    """Train (or fetch from cache) the run ``cfg`` with training seed ``ACCEPT_TRAIN_SEED``."""
+    if cfg not in _TRAIN_CACHE:
         scene = cfg.make_scene()
         bank, report = cfg.train_masks(scene, ACCEPT_TRAIN_SEED)
-        _TRAIN_CACHE[key] = (scene, bank, report)
-    return _TRAIN_CACHE[key]
+        _TRAIN_CACHE[cfg] = (scene, bank, report)
+    return _TRAIN_CACHE[cfg]
 
 
 # ---------------------------------------------------------------- criteria
@@ -376,23 +376,24 @@ def criterion_prefix_decodability(containers: int = 20) -> tuple[bool, str]:
 def criterion_level_monotonicity() -> tuple[bool, str]:
     """Deeper layers never render worse; the top layer clearly beats the base."""
     details = []
-    for seed in MOTION_SEEDS:
-        _, _, report = trained("motion-dense", seed)
+    for cfg in MOTION_RUNS:
+        _, _, report = trained(cfg)
         p0, p1, p2 = report.psnr_per_level
         if not (p0 <= p1 <= p2):
-            return False, f"seed {seed}: PSNR not monotone {report.psnr_per_level}"
+            return False, f"seed {cfg.seed}: PSNR not monotone {report.psnr_per_level}"
         if p2 - p0 < 0.5:
-            return False, f"seed {seed}: level-2 gain {p2 - p0:.2f} dB < 0.5 dB"
-        details.append(f"seed {seed}: {p0:.1f}<={p1:.1f}<={p2:.1f} dB")
+            return False, f"seed {cfg.seed}: level-2 gain {p2 - p0:.2f} dB < 0.5 dB"
+        details.append(f"seed {cfg.seed}: {p0:.1f}<={p1:.1f}<={p2:.1f} dB")
     return True, "; ".join(details)
 
 
 def criterion_activation_adaptivity() -> tuple[bool, str]:
     """Motion demand shows up in the learned activation rate; static stays uniform."""
     details = []
-    for seed in MOTION_SEEDS:
-        _, _, dense_report = trained("motion-dense", seed)
-        _, _, static_report = trained("static", seed)
+    for dense, static in zip(MOTION_RUNS, STATIC_RUNS):
+        seed = dense.seed
+        _, _, dense_report = trained(dense)
+        _, _, static_report = trained(static)
         gap = dense_report.final_activation_ema - static_report.final_activation_ema
         if gap < 0.2:
             return False, f"seed {seed}: activation gap {gap:.3f} < 0.2"
@@ -405,11 +406,10 @@ def criterion_activation_adaptivity() -> tuple[bool, str]:
 
 def criterion_lambda_sweep() -> tuple[bool, str]:
     """Stronger base-layer rate weight never grows the base layer."""
-    lams = (0.00025, 0.01, 0.04)
     actives = []
     compressed = []
-    for lam in lams:
-        scene, bank, report = trained("mixed", SWEEP_SEED, lambda_layer0=lam, steps=6000, learning_rate=0.8)
+    for cfg in SWEEP_RUNS:
+        scene, bank, report = trained(cfg)
         actives.append(report.active_per_level[0])
         blob = bitstream.encode(scene.anchors, bank, scene.deformations)
         compressed.append(bitstream.manifest(blob).compressed_sizes[0])
@@ -429,9 +429,10 @@ def _near_binary_fraction(bank: MaskBank) -> float:
 def criterion_mask_binarization() -> tuple[bool, str]:
     """The binary-entropy term measurably sharpens trained masks."""
     details = []
-    for seed in TMC_SEEDS:
-        _, bank_on, _ = trained("mixed", seed, binary_weight=1.0, steps=6000, learning_rate=0.5)
-        _, bank_off, _ = trained("mixed", seed, binary_weight=0.0, steps=6000, learning_rate=0.5)
+    for on, off in BINARY_PAIRS:
+        seed = on.seed
+        _, bank_on, _ = trained(on)
+        _, bank_off, _ = trained(off)
         frac_on = _near_binary_fraction(bank_on)
         frac_off = _near_binary_fraction(bank_off)
         if frac_on < 0.9:

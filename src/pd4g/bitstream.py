@@ -27,9 +27,15 @@ from .entropy import quantize_array
 
 MAGIC = b"PD4G"
 VERSION = 2
-HEADER_BASE_SIZE = 65  # magic..quant steps + chunk count
-CHUNK_ENTRY_SIZE = 21
-HEADER_CRC_SIZE = 4
+# FORMAT.md's fixed layout: magic, version, preset, flags, dim, N, F, T, the
+# six quant steps and the chunk count; per chunk its layer, raw and compressed
+# lengths and payload CRC32; then the CRC32 of all of that
+HEADER = struct.Struct("<4sBBBBIHH6dB")
+CHUNK_ENTRY = struct.Struct("<BQQI")
+HEADER_CRC = struct.Struct("<I")
+HEADER_BASE_SIZE = HEADER.size
+CHUNK_ENTRY_SIZE = CHUNK_ENTRY.size
+HEADER_CRC_SIZE = HEADER_CRC.size
 DEFAULT_PRESET = 6
 DICT_SIZE = 2**20  # every chunk's LZMA2 dictionary, whatever the preset
 INT_WIDTHS = (1, 2, 4)
@@ -262,37 +268,31 @@ def encode(
         chunks.append(b"".join(body))
 
     # --- header + chunk table + compressed payload
-    header = [
-        MAGIC,
-        struct.pack("<BBBB", VERSION, config.preset, 0, anchors.dim),
-        struct.pack("<IHH", anchors.count, anchors.feature_dim, deformations.step_count),
-        *(struct.pack("<d", q[fam]) for fam in QUANT_FAMILIES),
-        struct.pack("<B", len(chunks)),
-    ]
+    sizes = (anchors.dim, anchors.count, anchors.feature_dim, deformations.step_count)
+    header = HEADER.pack(MAGIC, VERSION, config.preset, 0, *sizes, *(q[fam] for fam in QUANT_FAMILIES), len(chunks))
     compressed = [compress_chunk(c, config.preset) for c in chunks]
     table = [
-        struct.pack("<BQQI", layer, len(raw), len(comp), zlib.crc32(raw) & 0xFFFFFFFF)
+        CHUNK_ENTRY.pack(layer, len(raw), len(comp), zlib.crc32(raw) & 0xFFFFFFFF)
         for layer, (raw, comp) in enumerate(zip(chunks, compressed))
     ]
-    head = b"".join(header + table)
-    return head + struct.pack("<I", zlib.crc32(head) & 0xFFFFFFFF) + b"".join(compressed)
+    head = b"".join([header, *table])
+    return head + HEADER_CRC.pack(zlib.crc32(head) & 0xFFFFFFFF) + b"".join(compressed)
 
 
 def _parse_header(data: bytes):
     if len(data) < HEADER_BASE_SIZE:
         raise TruncatedStreamError("stream shorter than the fixed header")
-    if data[:4] != MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}")
-    version, preset, flags, dim = struct.unpack_from("<BBBB", data, 4)
+    magic, version, preset, flags, dim, count, feature_dim, step_count, *steps, chunk_count = HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"unsupported container version {version}")
-    chunk_count = data[HEADER_BASE_SIZE - 1]
     if not 0 < chunk_count <= 3:
         raise FormatError(f"chunk table claims {chunk_count} chunks")
     table_end = HEADER_BASE_SIZE + chunk_count * CHUNK_ENTRY_SIZE
     if len(data) < table_end + HEADER_CRC_SIZE:
         raise TruncatedStreamError("stream ends inside the chunk table")
-    if zlib.crc32(data[:table_end]) & 0xFFFFFFFF != struct.unpack_from("<I", data, table_end)[0]:
+    if zlib.crc32(data[:table_end]) & 0xFFFFFFFF != HEADER_CRC.unpack_from(data, table_end)[0]:
         raise FormatError("header and chunk table fail their CRC32")
     if preset > 9:
         raise FormatError(f"compressor preset {preset} is not in 0..9")
@@ -300,17 +300,13 @@ def _parse_header(data: bytes):
         raise FormatError(f"reserved flags byte is 0x{flags:02x}; it must be 0")
     if dim not in (2, 3):
         raise FormatError(f"spatial dimension {dim} is not 2 or 3")
-    count, feature_dim, step_count = struct.unpack_from("<IHH", data, 8)
-    quant = dict(zip(QUANT_FAMILIES, struct.unpack_from(f"<{len(QUANT_FAMILIES)}d", data, 16)))
+    quant = dict(zip(QUANT_FAMILIES, steps))
     for fam, step in quant.items():
         if not usable_quant_step(step):
             raise FormatError(
                 f"quantization step for {fam!r} is {step!r}; it must be positive and finite, also times 2**31"
             )
-    chunks = [
-        ChunkInfo(*struct.unpack_from("<BQQI", data, HEADER_BASE_SIZE + i * CHUNK_ENTRY_SIZE))
-        for i in range(chunk_count)
-    ]
+    chunks = [ChunkInfo(*entry) for entry in CHUNK_ENTRY.iter_unpack(data[HEADER_BASE_SIZE:table_end])]
     for i, info in enumerate(chunks):
         if info.layer != i:
             raise FormatError(f"chunk {i} labeled layer {info.layer}; layers must start at 0 and ascend")
@@ -335,16 +331,22 @@ def manifest(data: bytes) -> LayerManifest:
     ``TruncatedStreamError``, as in ``decode_prefix``.
     """
     h = _parse_header(data)
+    return LayerManifest(header_bytes=h["header_bytes"], chunks=tuple(info for info, _ in _complete_chunks(data, h)))
+
+
+def _complete_chunks(data: bytes, h: dict) -> list[tuple[ChunkInfo, slice]]:
+    """Each chunk, in layer order, that ``data`` holds in full, with its extent; the first cut one ends the list."""
     present = []
     offset = h["header_bytes"]
     for info in h["chunks"]:
-        offset += info.compressed_length
-        if offset > len(data):
+        end = offset + info.compressed_length
+        if end > len(data):
             break
-        present.append(info)
+        present.append((info, slice(offset, end)))
+        offset = end
     if not present:
         raise TruncatedStreamError("no complete base-layer chunk in the stream")
-    return LayerManifest(header_bytes=h["header_bytes"], chunks=tuple(present))
+    return present
 
 
 # every dtype a payload array is read as, resolved once
@@ -429,15 +431,11 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
     step_count = h["step_count"]
 
     payloads = []
-    offset = h["header_bytes"]
-    for info in h["chunks"]:
-        end = offset + info.compressed_length
-        if end > len(data):
-            break
+    for info, extent in _complete_chunks(data, h):
         # one byte past the declared length tells a long stream from an exact one
         decompressor = lzma.LZMADecompressor(format=lzma.FORMAT_RAW, filters=_filters(h["preset"]))
         try:
-            raw = decompressor.decompress(data[offset:end], max_length=min(info.raw_length + 1, sys.maxsize))
+            raw = decompressor.decompress(data[extent], max_length=min(info.raw_length + 1, sys.maxsize))
         except lzma.LZMAError as exc:
             raise IntegrityError(info.layer, f"layer {info.layer} chunk fails to decompress: {exc}") from exc
         if not decompressor.eof or decompressor.unused_data or len(raw) != info.raw_length:
@@ -447,9 +445,6 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
         if zlib.crc32(raw) & 0xFFFFFFFF != info.crc32:
             raise IntegrityError(info.layer)
         payloads.append((info, raw))
-        offset = end
-    if not payloads:
-        raise TruncatedStreamError("no complete base-layer chunk in the stream")
 
     table_shapes = {0: [], 1: [(dim,), (fdim,)], 2: [(dim,), (), (), (3,)]}
     carried, records, level_rows = [], [], []

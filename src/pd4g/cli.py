@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +39,8 @@ class _Parser(argparse.ArgumentParser):
 def _load_run_config(args) -> RunConfig:
     try:
         cfg = parse_config(_read_text(Path(args.config))) if args.config else RunConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out_dir = args.out
-        cfg.validate()
-        return cfg
+        overrides = {"seed": args.seed, "out_dir": args.out}
+        return replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
     except FileNotFoundError as exc:
         raise _CliError(EXIT_RUNTIME, f"config file not found: {exc.filename}") from exc
     except ConfigError as exc:

@@ -1,12 +1,15 @@
 """Flat, typed key=value run configuration.
 
 One line per key (``key = value``, '#' comments), every key validated against
-a registry with explicit units in the names. A key exists only for what a run
-varies: the method's fixed loss and rollout constants are not keys, and live
-in ``LossWeights`` and ``RolloutConfig`` alone. Published defaults are read
-from their owners (``LossWeights``, ``RolloutConfig``, ``asset``,
-``bitstream``), never restated; the desk-scale schedule knobs (steps, learning
-rate) default to values that converge on toy scenes in under a minute.
+a registry with explicit units in the names. A ``RunConfig`` is an immutable
+value, validated when it is built: by construction, by ``dataclasses.replace``
+and by ``parse_config`` alike, so an invalid one never exists. A key exists
+only for what a run varies: the method's fixed loss and rollout constants are
+not keys, and live in ``LossWeights`` and ``RolloutConfig`` alone. Published
+defaults are read from their owners (``LossWeights``, ``RolloutConfig``,
+``asset``, ``bitstream``), never restated; the desk-scale schedule knobs
+(steps, learning rate) default to values that converge on toy scenes in under
+a minute.
 """
 
 from __future__ import annotations
@@ -29,9 +32,13 @@ class ConfigError(ValueError):
     """A config line or value is invalid; the message names the key."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a reproducible pipeline needs, and the one mapping onto its calls."""
+    """Everything a reproducible pipeline needs, and the one mapping onto its calls.
+
+    Frozen and hashable; every instance is validated when it is built, and an
+    invalid one raises ``ConfigError`` naming the key.
+    """
 
     seed: int = 0
     scene_kind: str = "mixed"
@@ -62,7 +69,7 @@ class RunConfig:
 
     out_dir: str = "out"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (-(2**63) <= self.seed < 2**63):
             raise ConfigError("seed must lie in [-2**63, 2**63)")
         if self.scene_kind not in toyscene.SCENE_KINDS:
@@ -81,8 +88,8 @@ class RunConfig:
             raise ConfigError("train_steps must be non-negative")
         if self.progressive_start_step < 0:
             raise ConfigError("progressive_start_step must be non-negative")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (0 < self.learning_rate < math.inf):
+            raise ConfigError("learning_rate must be positive and finite")
         for name in ("lambda_layer0", "binary_weight"):
             if not (0 <= getattr(self, name) < math.inf):
                 raise ConfigError(f"{name} must be non-negative and finite")
@@ -147,8 +154,7 @@ def parse_config(text: str) -> RunConfig:
     Unknown keys, duplicate keys and unparseable values are rejected with the
     offending key named in the error.
     """
-    cfg = RunConfig()
-    seen: set[str] = set()
+    values: dict[str, int | float | str] = {}
     for number, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -160,16 +166,14 @@ def parse_config(text: str) -> RunConfig:
         value = value.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r} (line {number})")
-        if key in seen:
+        if key in values:
             raise ConfigError(f"duplicate config key {key!r} (line {number})")
-        seen.add(key)
         parser = _PARSERS[_FIELD_TYPES[key]]
         try:
-            setattr(cfg, key, parser(value))
+            values[key] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-    cfg.validate()
-    return cfg
+    return RunConfig(**values)
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -9,7 +9,7 @@ warm-up window the output stays uniform while the smoothed rate accumulates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,20 +40,6 @@ class RolloutConfig:
             raise ValueError("warmup_steps must be non-negative")
 
 
-@dataclass
-class RolloutState:
-    """Mutable scheduler state owned by a single training loop."""
-
-    activation_ema: float = 0.0
-    step: int = 0
-
-    def __post_init__(self):
-        if not (0.0 <= self.activation_ema <= 1.0):
-            raise ValueError("activation_ema must lie in [0, 1]")
-        if self.step < 0:
-            raise ValueError("step must be non-negative")
-
-
 def level_distribution(activation: float, config: RolloutConfig) -> np.ndarray:
     """Convex combination of the uniform and deeper-heavy endpoint distributions.
 
@@ -69,25 +55,25 @@ def level_distribution(activation: float, config: RolloutConfig) -> np.ndarray:
     return (1.0 - activation) * uniform + activation * aggressive
 
 
-def update_ema(state: RolloutState, activation_sample: float, config: RolloutConfig) -> RolloutState:
-    """Fold one activation-rate sample into the exponential moving average."""
+def update_ema(activation_ema: float, activation_sample: float, config: RolloutConfig) -> float:
+    """Fold one activation-rate sample into the exponential moving average, clamped to [0, 1]."""
     activation_sample = float(activation_sample)
     if not (0.0 <= activation_sample <= 1.0):
         raise ValueError("activation sample must lie in [0, 1]")
-    ema = (1.0 - config.ema_alpha) * state.activation_ema + config.ema_alpha * activation_sample
-    return replace(state, activation_ema=min(1.0, max(0.0, ema)))
+    ema = (1.0 - config.ema_alpha) * activation_ema + config.ema_alpha * activation_sample
+    return min(1.0, max(0.0, ema))
 
 
-def current_distribution(state: RolloutState, config: RolloutConfig) -> np.ndarray:
-    """Level distribution in effect at the state's step.
+def current_distribution(activation_ema: float, step: int, config: RolloutConfig) -> np.ndarray:
+    """Level distribution in effect at training step ``step``.
 
     Uniform while still inside the warm-up window, adaptive afterwards. The
     moving average keeps accumulating during warm-up so the adaptive phase
     starts from an informed value.
     """
-    if state.step < config.warmup_steps:
+    if step < config.warmup_steps:
         return np.asarray(UNIFORM_WEIGHTS, dtype=np.float64)
-    return level_distribution(state.activation_ema, config)
+    return level_distribution(activation_ema, config)
 
 
 def sample_level(pi: np.ndarray, seed: int, counter: int) -> int:

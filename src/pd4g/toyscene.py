@@ -424,7 +424,7 @@ def train_masks(
     gt_flat = scene.ground_truth.reshape(scene.deformations.step_count, -1, 3)
 
     levels = [np.ones(count), np.ones(count), np.ones(count)]
-    state = rollout.RolloutState(activation_ema=0.0, step=0)
+    ema = 0.0  # the scheduler's smoothed activation rate
     rollout_seed = derive_seed(seed, "rollout")
     timestep_seed = derive_seed(seed, "timestep")
 
@@ -447,14 +447,13 @@ def train_masks(
     positions = scene.anchors.positions
 
     for step in range(steps):
-        state.step = step
         if step % rollout_config.sample_period == 0:
             bank_now = MaskBank(levels=(levels[0], levels[1], levels[2]), threshold=threshold)
             sample = activation_rate(bank_now)
-            state = rollout.update_ema(state, sample, rollout_config)
-            trajectory.append((step, sample, state.activation_ema))
+            ema = rollout.update_ema(ema, sample, rollout_config)
+            trajectory.append((step, sample, ema))
 
-        pi = rollout.current_distribution(state, rollout_config)
+        pi = rollout.current_distribution(ema, step, rollout_config)
         level = rollout.sample_level(pi, rollout_seed, step)
         k = int(counter_uniform(timestep_seed, step) * scene.deformations.step_count)
 
@@ -495,8 +494,7 @@ def train_masks(
         )
 
     bank = MaskBank(levels=(levels[0], levels[1], levels[2]), threshold=threshold)
-    state.step = steps
-    final_pi = rollout.current_distribution(state, rollout_config)
+    final_pi = rollout.current_distribution(ema, steps, rollout_config)
 
     psnr_levels = []
     active_levels = []
@@ -512,7 +510,7 @@ def train_masks(
         steps=steps,
         psnr_per_level=tuple(psnr_levels),
         active_per_level=tuple(active_levels),
-        final_activation_ema=state.activation_ema,
+        final_activation_ema=ema,
         final_distribution=tuple(float(p) for p in final_pi),
         activation_trajectory=tuple(trajectory),
         loss_curve=tuple(curve),

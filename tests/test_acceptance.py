@@ -7,10 +7,12 @@ module costs a handful of desk-scale training runs.
 """
 
 import hashlib
+from dataclasses import fields, replace
 
 import pytest
 
 from pd4g import acceptance
+from pd4g.config import ConfigError, RunConfig
 
 
 def _run(index: int) -> None:
@@ -66,23 +68,59 @@ def test_criterion_11_simulator_exactness():
 
 # sha256 prefixes of (mask bytes, loss_curve_csv(), to_json()) of two
 # acceptance runs, recorded before the config -> call wiring moved into
-# RunConfig; criteria 6 and 9 train the same runs, so they come from the cache
+# RunConfig: motion-dense seed 101, and mixed seed 301 with the binary term
+# off; criteria 6 and 9 train the same runs, so they come from the cache
 PINNED_TRAINED = [
-    (("motion-dense", 101), {}, ("18d1d0ba7987257e", "1b7265b1fec01efa", "2c17dfb5fa5f5d8d")),
-    (
-        ("mixed", 301),
-        {"binary_weight": 0.0, "steps": 6000, "learning_rate": 0.5},
-        ("17ba085523e4a6b8", "44c6a030bc9b8e4e", "9ea70f41b1b6f195"),
-    ),
+    (acceptance.MOTION_RUNS[0], ("18d1d0ba7987257e", "1b7265b1fec01efa", "2c17dfb5fa5f5d8d")),
+    (acceptance.BINARY_PAIRS[0][1], ("17ba085523e4a6b8", "44c6a030bc9b8e4e", "9ea70f41b1b6f195")),
 ]
 
 
-@pytest.mark.parametrize("args, kwargs, expected", PINNED_TRAINED)
-def test_trained_runs_pinned(args, kwargs, expected):
-    _, bank, report = acceptance.trained(*args, **kwargs)
+@pytest.mark.parametrize("cfg, expected", PINNED_TRAINED, ids=["motion-dense-101", "mixed-301-binary-off"])
+def test_trained_runs_pinned(cfg, expected):
+    _, bank, report = acceptance.trained(cfg)
     masks = b"".join(bank.level(level).tobytes() for level in range(3))
     texts = (masks, report.loss_curve_csv().encode(), report.to_json().encode())
     assert tuple(hashlib.sha256(t).hexdigest()[:16] for t in texts) == expected
+
+
+DECLARED_RUNS = [
+    *acceptance.MOTION_RUNS,
+    *acceptance.STATIC_RUNS,
+    *acceptance.SWEEP_RUNS,
+    *(cfg for pair in acceptance.BINARY_PAIRS for cfg in pair),
+]
+
+
+class TestDeclaredRuns:
+    def test_every_declared_run_is_a_run_config(self):
+        assert len(DECLARED_RUNS) == 13 and len(set(DECLARED_RUNS)) == 13
+        for cfg in DECLARED_RUNS:
+            assert isinstance(cfg, RunConfig) and replace(cfg) == cfg
+
+    def test_sweep_varies_only_the_sweep_fields(self):
+        varied = {"scene_kind", "seed", "lambda_layer0", "train_steps", "learning_rate"}
+        for cfg in acceptance.SWEEP_RUNS:
+            for f in fields(RunConfig):
+                if f.name not in varied:
+                    assert getattr(cfg, f.name) == getattr(acceptance.ACCEPT_RUN, f.name), f.name
+        assert [cfg.lambda_layer0 for cfg in acceptance.SWEEP_RUNS] == [0.00025, 0.01, 0.04]
+
+    def test_invalid_run_cannot_be_derived(self):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            replace(acceptance.ACCEPT_RUN, learning_rate=-0.5)
+
+    def test_cache_is_keyed_by_the_whole_config(self):
+        # progressive_start_step is a field the keyword form of trained() could not vary
+        base = replace(acceptance.ACCEPT_RUN, anchor_count=8, image_width=8, image_height=8, train_steps=4)
+        early, late = (replace(base, progressive_start_step=start) for start in (0, 4))
+        try:
+            early_run, late_run = acceptance.trained(early), acceptance.trained(late)
+            assert early_run is not late_run and acceptance.trained(early) is early_run
+            assert early_run[2].loss_curve != late_run[2].loss_curve
+        finally:
+            for cfg in (early, late):
+                acceptance._TRAIN_CACHE.pop(cfg, None)
 
 
 class TestHarnessSanity:

@@ -157,13 +157,17 @@ def test_verify_seconds_are_recorded_per_criterion(tmp_path):
     out = tmp_path / "bench.json"
     result = _compare(tmp_path, "--json", str(out), "--verify", str(parent_txt), str(change_txt))
     assert result.returncode == 0, result.stdout + result.stderr
+    share = "level-2 share 0.41 > 0.12"
     assert json.loads(out.read_text())["verify"] == {
         "parent": {
-            "7 activation-rate adaptivity": [{"status": "PASS", "seconds": 32.1}, {"status": "PASS", "seconds": 36.25}]
+            "7 activation-rate adaptivity": [
+                {"status": "PASS", "seconds": 32.1, "details": share},
+                {"status": "PASS", "seconds": 36.25, "details": share},
+            ]
         },
         "change": {
-            "1 first-frame latency grid": [{"status": "PASS", "seconds": 0.52}],
-            "11 simulator exactness": [{"status": "FAIL", "seconds": 120.0}],
+            "1 first-frame latency grid": [{"status": "PASS", "seconds": 0.52, "details": "12 rows"}],
+            "11 simulator exactness": [{"status": "FAIL", "seconds": 120.0, "details": "raised ValueError: x (y)"}],
         },
     }
     assert "verify parent: 7 activation-rate adaptivity: 32.1 s / 36.25 s" in result.stdout
@@ -171,3 +175,32 @@ def test_verify_seconds_are_recorded_per_criterion(tmp_path):
     change_txt.write_text("0/0 criteria passed in 0.0s\n")
     result = _compare(tmp_path, "--verify", str(parent_txt), str(change_txt))
     assert result.returncode == 2 and "no pd4g verify criterion line" in result.stderr
+
+
+def test_verify_details_that_differ_are_listed(tmp_path):
+    _write_run(tmp_path / "parent", 1, 10.0)
+    _write_run(tmp_path / "change", 1, 10.0)
+    parent_txt, change_txt = tmp_path / "parent.txt", tmp_path / "change.txt"
+    parent_txt.write_text(
+        "[PASS]  6 per-level quality monotonicity (  14.74s)  seed 101: 10.5<=10.6<=99.0 dB\n"
+        "[PASS]  7 activation-rate adaptivity     (  13.96s)  seed 101: gap 0.38\n"
+        "[PASS]  8 rate-weight sweep              (  18.55s)  actives [63, 57, 49]\n"
+        "[PASS]  6 per-level quality monotonicity (  15.02s)  seed 101: 10.5<=10.6<=99.0 dB\n"
+        "[PASS]  8 rate-weight sweep              (  18.91s)  actives [63, 57, 48]\n"
+    )
+    change_txt.write_text(
+        "[PASS]  6 per-level quality monotonicity (  13.10s)  seed 101: 10.5<=10.6<=99.0 dB\n"
+        "[PASS]  7 activation-rate adaptivity     (  12.40s)  seed 101: gap 0.39\n"
+    )
+    out = tmp_path / "bench.json"
+    result = _compare(tmp_path, "--json", str(out), "--verify", str(parent_txt), str(change_txt))
+    # 7 differs between the sides and 8 within the parent's runs; neither enters the exit status
+    assert result.returncode == 0, result.stdout + result.stderr
+    differ = ["7 activation-rate adaptivity", "8 rate-weight sweep"]
+    assert json.loads(out.read_text())["verify_details_differ"] == differ
+    assert f"verify details differ: {', '.join(differ)}" in result.stdout
+    change_txt.write_text(parent_txt.read_text().replace("[63, 57, 48]", "[63, 57, 49]"))
+    parent_txt.write_text(change_txt.read_text())
+    result = _compare(tmp_path, "--json", str(out), "--verify", str(parent_txt), str(change_txt))
+    assert json.loads(out.read_text())["verify_details_differ"] == []
+    assert "verify details differ: none" in result.stdout

@@ -90,11 +90,19 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("lambda_layer0", "nan"), ("binary_weight", "inf"), ("lambda_temporal", "nan"), ("tau_scene_units", "inf")],
+        [
+            ("lambda_layer0", "nan"),
+            ("binary_weight", "inf"),
+            ("lambda_temporal", "nan"),
+            ("tau_scene_units", "inf"),
+            ("learning_rate", "inf"),
+        ],
     )
     def test_non_finite_weight_is_validation_error(self, tmp_path, capsys, key, value):
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, FAST_TRAIN + f"{key} = {value}\n", out)
+        # the value replaces the key's own line, so the error is about the value, not a duplicate key
+        body = "".join(line for line in FAST_TRAIN.splitlines(keepends=True) if not line.startswith(f"{key} ="))
+        cfg = write_config(tmp_path, body + f"{key} = {value}\n", out)
         assert main(["train", "--config", str(cfg)]) == EXIT_VALIDATION
         assert key in capsys.readouterr().err
         assert not out.exists()

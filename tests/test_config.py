@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -25,7 +25,6 @@ FIXED_CONSTANTS = {
 class TestDefaults:
     def test_published_constants(self):
         cfg = RunConfig()
-        cfg.validate()
         weights, schedule = cfg.loss_weights(), cfg.rollout_config()
         assert weights == LossWeights() and schedule == RolloutConfig()
         assert weights.lambda_layer == (0.04, 0.01, 0.00025)
@@ -74,6 +73,22 @@ class TestDefaults:
         }
 
 
+class TestValue:
+    def test_frozen_and_hashable(self):
+        cfg = RunConfig(seed=7)
+        with pytest.raises(FrozenInstanceError):
+            cfg.seed = 8
+        assert cfg == RunConfig(seed=7) and hash(cfg) == hash(RunConfig(seed=7))
+        assert len({cfg, RunConfig(seed=7), RunConfig(seed=8)}) == 2
+
+    def test_replace_validates(self):
+        # a derived config is checked as a parsed one is, with the same message
+        with pytest.raises(ConfigError, match="anchor_count must lie in"):
+            replace(RunConfig(), anchor_count=2)
+        with pytest.raises(ConfigError, match="anchor_count must lie in"):
+            RunConfig(anchor_count=2)
+
+
 class TestParsing:
     def test_round_trip(self):
         cfg = RunConfig(seed=7, scene_kind="static", anchor_count=32)
@@ -111,6 +126,8 @@ class TestParsing:
                 parse_config(f"seed = {seed}\n")
         with pytest.raises(ConfigError, match="feature_dim"):
             parse_config("feature_dim = 65536\n")  # the container header stores F as u16
+        with pytest.raises(ConfigError, match="learning_rate"):
+            parse_config("learning_rate = inf\n")  # training would diverge at its first steps
         assert parse_config(f"seed = {-(2**63)}\nfeature_dim = 65535\n").seed == -(2**63)
 
     @pytest.mark.parametrize("key, value", FIXED_CONSTANTS.items())

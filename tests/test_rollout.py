@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from pd4g.rollout import (
     RolloutConfig,
-    RolloutState,
     current_distribution,
     level_distribution,
     sample_level,
@@ -49,50 +48,40 @@ class TestLevelDistribution:
 
 class TestEma:
     def test_single_step(self):
-        state = update_ema(RolloutState(), 1.0, RolloutConfig())
-        assert state.activation_ema == pytest.approx(0.05)
+        assert update_ema(0.0, 1.0, RolloutConfig()) == pytest.approx(0.05)
 
     def test_fixed_point(self):
-        state = RolloutState(activation_ema=0.42)
-        assert update_ema(state, 0.42, RolloutConfig()).activation_ema == pytest.approx(0.42)
+        assert update_ema(0.42, 0.42, RolloutConfig()) == pytest.approx(0.42)
 
     def test_geometric_convergence(self):
-        state = RolloutState()
+        ema = 0.0
         cfg = RolloutConfig()
         for _ in range(200):
-            state = update_ema(state, 1.0, cfg)
-        assert state.activation_ema == pytest.approx(1.0 - 0.95**200, abs=1e-12)
+            ema = update_ema(ema, 1.0, cfg)
+        assert ema == pytest.approx(1.0 - 0.95**200, abs=1e-12)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            update_ema(RolloutState(), 1.5, RolloutConfig())
+            update_ema(0.0, 1.5, RolloutConfig())
 
     @settings(deadline=None, max_examples=60)
     @given(a=st.floats(0, 1), b=st.floats(0, 1), sample=st.floats(0, 1))
     def test_contraction(self, a, b, sample):
         cfg = RolloutConfig()
-        ra = update_ema(RolloutState(activation_ema=a), sample, cfg).activation_ema
-        rb = update_ema(RolloutState(activation_ema=b), sample, cfg).activation_ema
+        ra = update_ema(a, sample, cfg)
+        rb = update_ema(b, sample, cfg)
         assert abs(ra - rb) == pytest.approx((1 - cfg.ema_alpha) * abs(a - b), abs=1e-12)
-
-    def test_original_state_untouched(self):
-        state = RolloutState(activation_ema=0.3, step=7)
-        update_ema(state, 0.9, RolloutConfig())
-        assert state.activation_ema == 0.3
 
 
 class TestWarmup:
     def test_uniform_during_warmup(self):
         cfg = RolloutConfig()
-        state = RolloutState(activation_ema=1.0, step=0)
-        assert np.array_equal(current_distribution(state, cfg), [1 / 3] * 3)
-        state.step = cfg.warmup_steps - 1
-        assert np.array_equal(current_distribution(state, cfg), [1 / 3] * 3)
+        assert np.array_equal(current_distribution(1.0, 0, cfg), [1 / 3] * 3)
+        assert np.array_equal(current_distribution(1.0, cfg.warmup_steps - 1, cfg), [1 / 3] * 3)
 
     def test_adaptive_at_boundary(self):
         cfg = RolloutConfig()
-        state = RolloutState(activation_ema=1.0, step=cfg.warmup_steps)
-        assert np.array_equal(current_distribution(state, cfg), [0.15, 0.30, 0.55])
+        assert np.array_equal(current_distribution(1.0, cfg.warmup_steps, cfg), [0.15, 0.30, 0.55])
 
 
 class TestSampleLevel:
