@@ -17,7 +17,11 @@ every end-to-end metric in ``BENCHMARK.json`` the report gives, per workload:
   metric's bound, a fraction of the parent's median;
 - whether a claimed gain holds: at least ten pairs, of which the change
   wins at least nine tenths (ties count for neither side), and a median
-  better than the parent's by more than the parent's interquartile range.
+  better than the parent's by more than the parent's interquartile range;
+- the parent runs' spread, (max - min) / median, and whether run-to-run
+  noise leaves the metric unresolved: its spread is wider than the bound,
+  and not every change run beats every parent run. Such a row reads
+  ``unresolved`` in the ``noise`` column; it does not enter the exit status.
 
 It also counts the pairs whose container digests differ on their common
 rounds and prints every record with a non-empty ``problems`` list. The exit
@@ -120,6 +124,14 @@ def relative_change(parent: float, change: float) -> float:
     return (change - parent) / abs(parent)
 
 
+def spread(values: list[float]) -> float:
+    """(max - min) / |median|: how far the runs of one side move apart; 0 when they all agree."""
+    width, median = max(values) - min(values), statistics.median(values)
+    if median == 0:
+        return 0.0 if width == 0 else math.inf
+    return width / abs(median)
+
+
 def quartiles(values: list[float]) -> dict[str, float]:
     """q1, median and q3, linearly interpolated (numpy's default method)."""
     if len(values) == 1:
@@ -151,6 +163,8 @@ def summarize(parent: dict, change: dict, metrics: list[dict]) -> dict:
             summary["ok"] &= not beyond
             wins = sum(better * (b - a) > 0 for a, b in zip(before, after))  # a tie is no win
             gap = better * (q_after["median"] - q_before["median"])
+            noise = spread(before)
+            beats_every_parent = min(better * a for a in after) > max(better * b for b in before)
             rows[name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
@@ -160,6 +174,8 @@ def summarize(parent: dict, change: dict, metrics: list[dict]) -> dict:
                 "wins": wins,
                 "bound": metric["bound"],
                 "beyond_bound": beyond,
+                "parent_spread": noise,
+                "unresolved": noise > metric["bound"] and not beats_every_parent,
                 "claim_holds": len(seeds) >= CLAIM_MIN_PAIRS
                 and wins >= CLAIM_WIN_SHARE * len(seeds)
                 and gap > q_before["q3"] - q_before["q1"],
@@ -196,12 +212,16 @@ def report(summary: dict) -> list[str]:
     for workload, entry in summary["workloads"].items():
         seeds = entry["seeds"]
         lines.append(f"{workload}: {len(seeds)} pairs, seeds {', '.join(map(str, seeds))}")
-        lines.append(f"  {'metric':22s} {'parent':>12s} {'change':>12s} {'rel':>8s} {'wins':>6s}  {'bound':12s} claim")
+        lines.append(
+            f"  {'metric':22s} {'parent':>12s} {'change':>12s} {'rel':>8s} {'wins':>6s}  {'bound':12s}"
+            f" {'spread':>7s} {'noise':10s} claim"
+        )
         for name, row in entry["metrics"].items():
             lines.append(
                 f"  {name:22s} {row['parent']['median']:12.6g} {row['change']['median']:12.6g}"
                 f" {row['relative_change']:+8.1%} {row['wins']:>3d}/{len(seeds):<2d}"
                 f"  {'BEYOND ' if row['beyond_bound'] else 'within '}{row['bound']:<5g}"
+                f" {row['parent_spread']:7.1%} {'unresolved' if row['unresolved'] else 'resolved':10s}"
                 f" {'holds' if row['claim_holds'] else '-'}"
             )
         lines.append(

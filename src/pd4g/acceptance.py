@@ -236,12 +236,13 @@ def criterion_gradients(configs: int = 100) -> tuple[bool, str]:
     worst = {"rate": 0.0, "binary": 0.0, "smooth": 0.0, "render": 0.0}
     for _ in range(configs):
         anchors, mask, pairs = _random_gradient_fixture(rng)
+        table = losses.pair_weights(anchors.positions, losses.LossWeights().tau)  # every term's tau
 
         def objective(term, m):
             bits = None
             if term == "rate":
                 bits = entropy.per_anchor_bits(anchors, entropy.family_priors(anchors, m > MASK_THRESHOLD, quant))
-            return losses.level_loss(0.0, m, 0, terms[term], anchors.positions, pairs, bits)
+            return losses.level_loss(0.0, m, 0, terms[term], table, pairs, bits)
 
         for term in terms:
             fd = _fd_gradient(lambda m: objective(term, m).total, mask)

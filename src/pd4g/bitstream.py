@@ -501,8 +501,7 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
     full_tables = {}
     # the tables and anchor fields handed to the asset types below are fresh
     # and held nowhere else, so they are marked read-only and adopted, not
-    # copied; MaskBank clamps the mask levels into copies of its own, and
-    # AnchorSet casts the float32 opacities and colors into its own float64
+    # copied; MaskBank clamps the mask levels into copies of its own
     for level, (members, masks, tables) in enumerate(level_rows):
         at = np.searchsorted(union, members)
         bank_levels[level][at] = masks
@@ -510,9 +509,12 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
     if max_level == 1:
         full_tables[2] = [read_only(np.zeros((step_count, n, *s))) for s in table_shapes[2]]
 
+    # casting a signaling NaN warns; AnchorSet's range check rejects it, as every NaN
+    with np.errstate(invalid="ignore"):
+        raw_floats = [read_only(values.astype(np.float64)) for values in fields[4:]]
     try:
         scaled = (read_only(ints * q[fam]) for ints, fam in zip(fields, ("position", "feature", "scale", "offset")))
-        anchors = AnchorSet(*scaled, *fields[4:])
+        anchors = AnchorSet(*scaled, *raw_floats)
         bank = MaskBank(levels=tuple(bank_levels))
         deformations = None
         if max_level >= 1:

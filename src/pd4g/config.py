@@ -70,6 +70,10 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTED_TYPES[kind]):
+                raise ConfigError(f"{name} must be of type {kind}, got {type(value).__name__} {value!r}")
         if not (-(2**63) <= self.seed < 2**63):
             raise ConfigError("seed must lie in [-2**63, 2**63)")
         if self.scene_kind not in toyscene.SCENE_KINDS:
@@ -146,6 +150,8 @@ class RunConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _PARSERS = {"int": int, "float": float, "str": str}
+# the Python types a field of each declared type takes; bool, an int subclass, is refused apart
+_ACCEPTED_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 def parse_config(text: str) -> RunConfig:

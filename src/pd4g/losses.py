@@ -7,7 +7,10 @@ toward clean {0, 1} activation patterns shared by nearby anchors.
 ``level_loss`` is the one definition of that objective: training and the
 gradient acceptance check both call it. The render gradient is supplied
 externally; everything else is differentiated here in closed form, each
-term computing its value and gradient in one pass.
+term computing its value and gradient in one pass. The smoothness pair
+weights depend only on the anchor positions and ``tau``, which a run holds
+fixed, so they come from one (V, V) table, ``pair_weights``, built once per
+run and gathered from at every step.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .asset import check_layer
+from .asset import check_layer, read_only
 from .seeds import rng_for
 
 MASK_EPS = 1e-7  # keeps exact {0,1} masks representable inside the logs
@@ -67,32 +70,39 @@ def binary_entropy(mask: np.ndarray) -> tuple[float, np.ndarray]:
     return value, -np.log2(m / (1.0 - m)) / m.size
 
 
-def smoothness(
-    mask: np.ndarray,
-    positions: np.ndarray,
-    pairs: np.ndarray,
-    tau: float,
-) -> tuple[float, np.ndarray]:
-    """Distance-weighted mean mask disagreement over sampled anchor pairs, and its mask subgradient.
+def pair_weights(positions: np.ndarray, tau: float) -> np.ndarray:
+    """The read-only (V, V) table of smoothness pair weights ``exp(-|x_i - x_j| / tau)``.
 
-    Pair weight decays as exp(-distance / tau), so only spatially adjacent
-    anchors are pushed toward sharing an activation state.
+    Anchor positions are fixed for a training run, so a run builds the table
+    once and every step gathers its sampled pairs from it. Each entry has the
+    bits of the same formula evaluated for that one pair.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
+    x = np.asarray(positions, dtype=np.float64)
+    table = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
+    np.negative(table, out=table)
+    table /= float(tau)
+    return read_only(np.exp(table, out=table))
+
+
+def smoothness(mask: np.ndarray, table: np.ndarray, pairs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Distance-weighted mean mask disagreement over sampled anchor pairs, and its mask subgradient.
+
+    ``table`` is ``pair_weights(positions, tau)``: a pair's weight decays as
+    exp(-distance / tau), so only spatially adjacent anchors are pushed toward
+    sharing an activation state.
+    """
     m = np.asarray(mask, dtype=np.float64)
-    grad = np.zeros_like(m)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if pairs.shape[0] == 0:
-        return 0.0, grad
-    x = np.asarray(positions, dtype=np.float64)
+        return 0.0, np.zeros_like(m)
     i, j = pairs[:, 0], pairs[:, 1]
-    dist = np.linalg.norm(x[i] - x[j], axis=1)
-    weights = np.exp(-dist / float(tau))
+    weights = table[i, j]
     diff = m[i] - m[j]
     contrib = weights * np.sign(diff) / pairs.shape[0]
-    np.add.at(grad, i, contrib)
-    np.add.at(grad, j, -contrib)
+    # adds every i entry, then every j entry, in pair order: the order of two np.add.at calls
+    grad = np.bincount(np.concatenate((i, j)), np.concatenate((contrib, -contrib)), minlength=m.size)
     return float(np.mean(weights * np.abs(diff))), grad
 
 
@@ -107,21 +117,24 @@ def sample_pairs(anchor_count: int, pair_count: int, rng_seed: int) -> np.ndarra
     if pair_count < 1:
         raise ValueError("pair_count must be at least 1")
     rng = rng_for(rng_seed)
-    first = rng.integers(0, anchor_count, size=pair_count)
-    shift = rng.integers(1, anchor_count, size=pair_count)
-    second = (first + shift) % anchor_count
-    return np.stack([first, second], axis=1)
+    pairs = np.empty((pair_count, 2), dtype=np.int64)
+    first, second = pairs.T  # views of the two columns
+    first[:] = rng.integers(0, anchor_count, size=pair_count)
+    second[:] = rng.integers(1, anchor_count, size=pair_count)  # the shift
+    second += first
+    second %= anchor_count
+    return pairs
 
 
 def consistency_loss(
     mask: np.ndarray,
-    positions: np.ndarray,
+    table: np.ndarray,
     pairs: np.ndarray,
     weights: LossWeights,
 ) -> tuple[float, np.ndarray]:
-    """Combined binary-entropy + smoothness term and its mask gradient."""
+    """Combined binary-entropy + smoothness term and its mask gradient, with ``table`` from ``pair_weights``."""
     binary_value, binary_grad = binary_entropy(mask)
-    smooth_value, smooth_grad = smoothness(mask, positions, pairs, weights.tau)
+    smooth_value, smooth_grad = smoothness(mask, table, pairs)
     value = weights.binary_weight * binary_value + weights.smooth_weight * smooth_value
     grad = weights.binary_weight * binary_grad + weights.smooth_weight * smooth_grad
     return value, grad
@@ -141,13 +154,14 @@ def level_loss(
     mask: np.ndarray,
     level: int,
     weights: LossWeights,
-    positions: np.ndarray,
+    table: np.ndarray,
     pairs: np.ndarray,
     bits: np.ndarray | None,
 ) -> LevelLoss:
     """One level's objective: render distortion + weighted rate + weighted consistency.
 
-    ``mask`` is the sampled level's mask vector and ``bits`` the per-anchor
+    ``mask`` is the sampled level's mask vector, ``table`` the run's
+    ``pair_weights(positions, weights.tau)``, and ``bits`` the per-anchor
     bit cost under the current priors (``entropy.per_anchor_bits``), or
     None when the priors cannot be fitted; the rate ``mean(mask * bits)`` is
     then 0. Priors are held fixed (refitted whenever the level's active set
@@ -159,7 +173,7 @@ def level_loss(
     mask = np.asarray(mask, dtype=np.float64)
     lam = weights.lambda_layer[level]
     rate = 0.0 if bits is None else float(np.mean(mask * bits))
-    tmc_value, tmc_grad = consistency_loss(mask, positions, pairs, weights)
+    tmc_value, tmc_grad = consistency_loss(mask, table, pairs, weights)
     total = float(render_loss) + lam * rate + weights.lambda_temporal * tmc_value
     grad = weights.lambda_temporal * tmc_grad
     if bits is not None:

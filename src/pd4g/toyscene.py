@@ -377,7 +377,9 @@ def _render_gradient(
         work = np.empty((2,) + splat.d2.shape)
     alpha, scale, d_alpha, d_scale = splat.attributes(mask)
     falloff = splat.falloff(scale, out=work[0])
-    weights = np.multiply(alpha[:, None], falloff, out=work[1])
+    weights = work[1]
+    weights[...] = alpha[:, None]
+    weights *= falloff  # the bits of alpha * falloff, without the slower broadcast multiply
     raw = weights.T @ splat.colors  # (P, 3)
     diff = np.clip(raw, 0.0, 1.0) - gt_flat
     loss = float(np.mean(np.abs(diff)))
@@ -407,7 +409,9 @@ def train_masks(
     distribution and a random timestep, differentiates the L1 render loss
     through the splat in closed form, and from ``progressive_start`` on adds
     the rate and consistency terms of ``losses.level_loss``, which also
-    supplies the loss curve's rate and consistency columns. The entropy
+    supplies the loss curve's rate and consistency columns. A step whose
+    level and timestep meet the same mask bytes as when they last met reuses
+    that render loss and gradient. The entropy
     priors behind the rate are fitted on the level's active anchors and
     refitted whenever that level's active set changes; with fewer than two
     active the rate is 0. Masks follow projected gradient descent onto
@@ -442,9 +446,13 @@ def train_masks(
     # anchors and quant steps are fixed for the run, so the bits depend on
     # the active set alone
     fitted: list[tuple[bytes, np.ndarray | None] | None] = [None, None, None]
+    # per (level, timestep), the last mask (as bytes) with the render loss and
+    # read-only gradient computed on it: a level whose mask did not move since
+    # (the top level's often stays all ones) reuses them
+    rendered: dict[tuple[int, int], tuple[bytes, float, np.ndarray]] = {}
+    pair_table = losses.pair_weights(scene.anchors.positions, weights.tau)
     trajectory: list[tuple[int, float, float]] = []
     curve: list[dict] = []
-    positions = scene.anchors.positions
 
     for step in range(steps):
         if step % rollout_config.sample_period == 0:
@@ -458,7 +466,11 @@ def train_masks(
         k = int(counter_uniform(timestep_seed, step) * scene.deformations.step_count)
 
         mask = levels[level]
-        render_loss, grad = _render_gradient(splat_at(level, k), mask, gt_flat[k], work)
+        mask_key = mask.tobytes()
+        if (level, k) not in rendered or rendered[level, k][0] != mask_key:
+            render_loss, grad = _render_gradient(splat_at(level, k), mask, gt_flat[k], work)
+            rendered[level, k] = (mask_key, render_loss, read_only(grad))
+        _, render_loss, grad = rendered[level, k]
         total, rate, consistency = render_loss, 0.0, 0.0
         if step >= progressive_start:
             active = mask > threshold
@@ -474,7 +486,7 @@ def train_masks(
                 count, weights.pair_factor * count, derive_seed(seed, "pairs", step)
             )
             total, extra, rate, consistency = losses.level_loss(
-                render_loss, mask, level, weights, positions, pairs, bits
+                render_loss, mask, level, weights, pair_table, pairs, bits
             )
             grad = grad + extra
         if not np.isfinite(total) or not np.all(np.isfinite(grad)):

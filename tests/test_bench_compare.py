@@ -44,7 +44,9 @@ def test_reports_medians_wins_and_bounds(tmp_path):
     result = _compare(tmp_path)
     assert result.returncode == 0, result.stdout
     assert "trace-replay: 3 pairs, seeds 1, 2, 3" in result.stdout
-    assert _row(result.stdout, "replay_ms_p95") == ["replay_ms_p95", "19", "10", "-47.4%", "2/3", "within", "0.25", "-"]
+    assert _row(result.stdout, "replay_ms_p95") == [
+        "replay_ms_p95", "19", "10", "-47.4%", "2/3", "within", "0.25", "10.5%", "resolved", "-"
+    ]
     assert _row(result.stdout, "psnr_l0_db")[3:5] == ["+0.0%", "0/3"]
     assert "differ on common rounds: none" in result.stdout
 
@@ -114,6 +116,32 @@ def test_claim_rule(tmp_path, change_ms, holds):
     assert metrics["replay_ms_p95"]["claim_holds"] is holds
     assert not any(row["claim_holds"] for name, row in metrics.items() if name != "replay_ms_p95")  # all ties
     assert _row(result.stdout, "replay_ms_p95")[-1] == ("holds" if holds else "-")
+
+
+@pytest.mark.parametrize(
+    "change_ms, unresolved",
+    [
+        ([90.0, 120.0, 105.0], True),  # the parent spread 27.3% is wider than the 25% bound
+        ([95.0, 99.0, 98.0], False),  # as wide, but every change run beats every parent run
+        ([100.0, 130.0, 110.0], True),  # no change at all cannot be told from the noise either
+    ],
+    ids=["overlapping", "every-run-better", "equal"],
+)
+def test_parent_spread_beyond_the_bound_is_unresolved(tmp_path, change_ms, unresolved):
+    for seed, (before, after) in enumerate(zip([100.0, 130.0, 110.0], change_ms), start=1):
+        _write_run(tmp_path / "parent", seed, before)
+        _write_run(tmp_path / "change", seed, after)
+    out = tmp_path / "bench.json"
+    result = _compare(tmp_path, "--json", str(out))
+    assert result.returncode == 0, result.stdout  # noise alone is no failed check
+    metrics = json.loads(out.read_text())["workloads"]["trace-replay"]["metrics"]
+    assert metrics["replay_ms_p95"]["parent_spread"] == 30.0 / 110.0
+    assert metrics["replay_ms_p95"]["unresolved"] is unresolved
+    # the other metrics read 100 in every run: no spread, so resolved
+    others = [row for name, row in metrics.items() if name != "replay_ms_p95"]
+    assert all(row["parent_spread"] == 0.0 and not row["unresolved"] for row in others)
+    row = _row(result.stdout, "replay_ms_p95")
+    assert row[7:9] == ["27.3%", "unresolved" if unresolved else "resolved"]
 
 
 def test_tier1_summaries_are_recorded_unpaired(tmp_path):

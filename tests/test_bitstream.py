@@ -442,6 +442,7 @@ _SCALES_0 = _POSITIONS_0 + (1 + 8) + (1 + 8) + 1
 _OPACITIES_0 = _SCALES_0 + 4 + (1 + 8)
 _MASKS_0 = _OPACITIES_0 + 4 * (4 + 12)
 _SUPP_1 = 16 + 8 + 2 * 4
+_SIGNALING_NAN = 0x7FA00000  # float32 bits
 _REFS_2, _SUPP_2 = 8, 8 + 2 * 4
 
 MALFORMED = {
@@ -456,6 +457,9 @@ MALFORMED = {
     "refs out of order": (2, _REFS_2, "<2I", 2, 0),
     "opacity 2.0": (0, _OPACITIES_0, "<f", 2.0),
     "NaN opacity": (0, _OPACITIES_0 + 4, "<f", float("nan")),
+    # a signaling NaN, written as its bits: a float32 -> float64 cast of it warns
+    "signaling NaN opacity": (0, _OPACITIES_0 + 4, "<I", _SIGNALING_NAN),
+    "signaling NaN color": (0, _OPACITIES_0 + 4 * 4 + 5 * 4, "<I", _SIGNALING_NAN),
     "negative scale index": (0, _SCALES_0, "<b", -1),
     "reversed timesteps": (1, 0, "<2d", 1.0, 0.0),
     "NaN timestep": (1, 8, "<d", float("nan")),
@@ -508,7 +512,8 @@ class TestMalformedPayload:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_rejected_as_format_error(self, case):
         blob = _rewrite_chunk(_layout_container(), *MALFORMED[case])
-        with pytest.raises(FormatError):
+        with warnings.catch_warnings(), pytest.raises(FormatError):
+            warnings.simplefilter("error")
             decode_prefix(blob)
 
     @pytest.mark.parametrize("width", [0, 3, 8])
@@ -563,6 +568,7 @@ class TestDecoderContract:
     @settings(deadline=None, max_examples=150)
     @given(blob=_mutated_containers())
     @example(blob=_empty_base_container())
+    @example(blob=_rewrite_chunk(_layout_container(), *MALFORMED["signaling NaN opacity"]))
     def test_input_decodes_or_raises_a_declared_error(self, blob):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

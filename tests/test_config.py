@@ -89,6 +89,30 @@ class TestValue:
             RunConfig(anchor_count=2)
 
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("anchor_count", 8.5),
+            ("train_steps", 2.5),
+            ("seed", "7"),
+            ("seed", True),
+            ("learning_rate", False),
+            ("learning_rate", "0.4"),
+            ("scene_kind", 3),
+            ("out_dir", None),
+        ],
+    )
+    def test_value_of_the_wrong_type_named(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be of type"):
+            RunConfig(**{key: value})
+        with pytest.raises(ConfigError, match=f"{key} must be of type"):
+            replace(RunConfig(), **{key: value})
+
+    def test_int_value_for_a_float_key(self):
+        assert RunConfig(learning_rate=1).learning_rate == 1
+        assert RunConfig(lambda_layer0=0).loss_weights().lambda_layer[0] == 0
+
+
 class TestParsing:
     def test_round_trip(self):
         cfg = RunConfig(seed=7, scene_kind="static", anchor_count=32)

@@ -15,7 +15,7 @@ from pd4g.entropy import (
     per_anchor_bits,
     quantize_array,
 )
-from pd4g.losses import LossWeights, level_loss
+from pd4g.losses import LossWeights, level_loss, pair_weights
 
 # frozen against a 30-digit quadrature of the standard normal density
 CENTER_UNIT_INTERVAL_BITS = 1.3848665342909897
@@ -121,12 +121,16 @@ class TestQuantize:
             assert math.copysign(math.floor(abs(scaled) + 0.5), scaled) == int(i)
 
 
+def _table(anchors):
+    return pair_weights(anchors.positions, LossWeights().tau)
+
+
 class TestLayerRate:
     """The rate term of ``losses.level_loss``: ``mean(mask * per_anchor_bits)``."""
 
     @staticmethod
     def _level_loss(anchors, mask, bits):
-        return level_loss(0.0, mask, 0, LossWeights(), anchors.positions, np.empty((0, 2)), bits)
+        return level_loss(0.0, mask, 0, LossWeights(), _table(anchors), np.empty((0, 2)), bits)
 
     def _fixture(self):
         rng = np.random.default_rng(1)
@@ -180,7 +184,7 @@ class TestLayerRate:
         without = self._level_loss(anchors, mask, None)
         assert without.rate == 0.0
         unweighted = level_loss(
-            0.0, mask, 0, LossWeights(lambda_layer=(0.0, 0.0, 0.0)), anchors.positions, np.empty((0, 2)), bits
+            0.0, mask, 0, LossWeights(lambda_layer=(0.0, 0.0, 0.0)), _table(anchors), np.empty((0, 2)), bits
         )
         assert without.total == unweighted.total
         assert np.array_equal(without.grad, unweighted.grad)

@@ -11,6 +11,7 @@ from pd4g.losses import (
     LossWeights,
     binary_entropy,
     level_loss,
+    pair_weights,
     sample_pairs,
     smoothness,
 )
@@ -21,7 +22,40 @@ def binary_entropy_value(mask):
 
 
 def smoothness_value(mask, positions, pairs, tau):
-    return smoothness(mask, positions, pairs, tau)[0]
+    return smoothness(mask, pair_weights(positions, tau), pairs)[0]
+
+
+def _per_pair_weights(positions, pairs, tau):
+    # the per-pair formula pair_weights replaced, kept as its bit-for-bit reference
+    x = np.asarray(positions, dtype=np.float64)
+    i, j = pairs[:, 0], pairs[:, 1]
+    return np.exp(-np.linalg.norm(x[i] - x[j], axis=1) / float(tau))
+
+
+def _add_at_smoothness(mask, positions, pairs, tau):
+    # the smoothness that gathered per-pair weights and scattered with two np.add.at calls
+    m = np.asarray(mask, dtype=np.float64)
+    grad = np.zeros_like(m)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if pairs.shape[0] == 0:
+        return 0.0, grad
+    i, j = pairs[:, 0], pairs[:, 1]
+    weights = _per_pair_weights(positions, pairs, tau)
+    diff = m[i] - m[j]
+    contrib = weights * np.sign(diff) / pairs.shape[0]
+    np.add.at(grad, i, contrib)
+    np.add.at(grad, j, -contrib)
+    return float(np.mean(weights * np.abs(diff))), grad
+
+
+def _random_case(seed):
+    """Positions (2-D or 3-D, at a random scale), a mask with ties and poles, pairs and a tau."""
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(2, 80))
+    positions = 10.0 ** rng.uniform(-3, 1) * rng.normal(size=(count, int(rng.integers(2, 4))))
+    mask = rng.choice([0.0, 1.0, 0.5, rng.uniform()], size=count) if rng.uniform() < 0.5 else rng.uniform(0, 1, count)
+    pairs = sample_pairs(count, int(rng.integers(1, 5 * count)), int(rng.integers(1 << 30)))
+    return positions, mask, pairs, float(10.0 ** rng.uniform(-2, 0))
 
 
 class TestBinaryEntropy:
@@ -63,9 +97,39 @@ class TestSmoothness:
         assert got == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_empty_pairs(self):
-        value, grad = smoothness(np.ones(3), np.zeros((3, 2)), np.empty((0, 2)), 0.1)
+        value, grad = smoothness(np.ones(3), pair_weights(np.zeros((3, 2)), 0.1), np.empty((0, 2)))
         assert value == 0.0
         assert np.array_equal(grad, np.zeros(3))
+
+    @settings(deadline=None, max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_add_at_form(self, seed):
+        positions, mask, pairs, tau = _random_case(seed)
+        value, grad = smoothness(mask, pair_weights(positions, tau), pairs)
+        want_value, want_grad = _add_at_smoothness(mask, positions, pairs, tau)
+        assert value == want_value
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+class TestPairWeights:
+    @settings(deadline=None, max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_per_pair_formula(self, seed):
+        positions, _, pairs, tau = _random_case(seed)
+        table = pair_weights(positions, tau)
+        assert table.shape == (len(positions),) * 2
+        got = table[pairs[:, 0], pairs[:, 1]]
+        assert got.tobytes() == _per_pair_weights(positions, pairs, tau).tobytes()
+
+    def test_read_only_with_unit_diagonal(self):
+        table = pair_weights(np.random.default_rng(5).uniform(0, 1, (7, 2)), 0.1)
+        assert not table.flags.writeable
+        assert np.all(np.diag(table) == 1.0)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.1, math.nan])
+    def test_rejects_non_positive_tau(self, tau):
+        with pytest.raises(ValueError):
+            pair_weights(np.zeros((3, 2)), tau)
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -115,37 +179,37 @@ class TestLevelLoss:
         mask = np.asarray(mask, dtype=float)
         positions = np.random.default_rng(0).uniform(0, 1, (mask.size, 2))
         pairs = sample_pairs(mask.size, 4 * mask.size, 5)
-        return mask, positions, pairs
+        return mask, pair_weights(positions, LossWeights().tau), pairs
 
     def test_reduces_to_render_loss_without_weights(self):
-        mask, positions, pairs = self._setup(np.full(6, 0.37))
+        mask, table, pairs = self._setup(np.full(6, 0.37))
         weights = LossWeights(lambda_layer=(0.0, 0.0, 0.0), lambda_temporal=0.0)
         bits = np.full(6, 99.0)
-        total, grad, rate, consistency = level_loss(1.25, mask, 0, weights, positions, pairs, bits)
+        total, grad, rate, consistency = level_loss(1.25, mask, 0, weights, table, pairs, bits)
         assert total == 1.25
         assert np.all(grad == 0)
         assert rate == pytest.approx(0.37 * 99.0)
         assert consistency > 0
 
     def test_weighted_rate_example(self):
-        mask, positions, pairs = self._setup(np.ones(6))
+        mask, table, pairs = self._setup(np.ones(6))
         weights = LossWeights(lambda_layer=(0.04, 0.01, 0.00025), lambda_temporal=0.01)
-        result = level_loss(0.0, mask, 0, weights, positions, pairs, np.full(6, 2.0))
+        result = level_loss(0.0, mask, 0, weights, table, pairs, np.full(6, 2.0))
         assert result.rate == 2.0
         assert result.total == pytest.approx(0.08, abs=1e-6)
 
     def test_gradient_includes_rate_term(self):
-        mask, positions, pairs = self._setup(np.full(4, 0.6))
+        mask, table, pairs = self._setup(np.full(4, 0.6))
         weights = LossWeights(lambda_layer=(0.04, 0.01, 0.00025), lambda_temporal=0.0)
         bits = np.array([10.0, 20.0, 30.0, 40.0])
-        result = level_loss(0.0, mask, 0, weights, positions, pairs, bits)
+        result = level_loss(0.0, mask, 0, weights, table, pairs, bits)
         np.testing.assert_allclose(result.grad, 0.04 * bits / 4)
 
     def test_all_terms_non_negative(self):
-        mask, positions, pairs = self._setup(np.random.default_rng(1).uniform(0, 1, 8))
+        mask, table, pairs = self._setup(np.random.default_rng(1).uniform(0, 1, 8))
         weights = LossWeights()
         bits = np.random.default_rng(2).uniform(0, 30, 8)
-        result = level_loss(0.5, mask, 1, weights, positions, pairs, bits)
+        result = level_loss(0.5, mask, 1, weights, table, pairs, bits)
         assert result.rate >= 0 and result.consistency >= 0
         assert result.total >= 0.5
 
@@ -176,7 +240,7 @@ class TestGradientsAgainstFiniteDifferences:
             mask = rng.uniform(0, 1, 10)
             while np.min(np.abs(mask[pairs[:, 0]] - mask[pairs[:, 1]])) < 1e-3:
                 mask = rng.uniform(0, 1, 10)
-            _, analytic = smoothness(mask, positions, pairs, 0.1)
+            _, analytic = smoothness(mask, pair_weights(positions, 0.1), pairs)
             fd = self._fd(lambda m: smoothness_value(m, positions, pairs, 0.1), mask)
             assert np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-4
 

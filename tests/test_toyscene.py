@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pd4g import entropy
+from pd4g import entropy, toyscene
 from pd4g.acceptance import _fd_gradient, _rel_err
 from pd4g.asset import AnchorSet, DeformationTable, LocalResiduals, MaskBank, MissingLayerError
 from pd4g.config import load_config
@@ -354,19 +354,21 @@ class TestTrainMasks:
 
 # sha256 prefixes of (mask bytes, loss_curve_csv(), to_json()) for 3000-step
 # runs at 64 anchors, 4 timesteps, 32x32, lr 0.5, RolloutConfig(25, 400),
-# progressive start 400, seed 11
+# progressive start 400, seed 11, and the render passes each run makes
 PINNED_RUNS = {
     "motion-dense-101": (
         "motion-dense",
         101,
         LossWeights(),
         ("ee3e642b186879cf", "d570b799188c3e1e", "23531476e73cd115"),
+        1832,
     ),
     "mixed-201-lambda0": (
         "mixed",
         201,
         LossWeights(lambda_layer=(0.00025, 0.01, 0.00025)),
         ("d393bb8ffc2ee32c", "f3a4b55e072310da", "fe078ac884a71174"),
+        1968,
     ),
 }
 
@@ -384,15 +386,31 @@ def _counting_fits(monkeypatch) -> list[int]:
     return fits
 
 
+def _recording_renders(monkeypatch) -> list[np.ndarray]:
+    """Record the gradient of each toyscene._render_gradient call, as train_masks makes them."""
+    grads = []
+    render_gradient = toyscene._render_gradient
+
+    def recorded(*args, **kwargs):
+        loss, grad = render_gradient(*args, **kwargs)
+        grads.append(grad)
+        return loss, grad
+
+    monkeypatch.setattr(toyscene, "_render_gradient", recorded)
+    return grads
+
+
 @pytest.fixture(scope="module")
 def pinned_runs():
-    """Each pinned run trained once: its digest triple and prior-fit count."""
+    """Each pinned run trained once: its digest triple, prior-fit count and render-pass gradients."""
     results = {}
     with pytest.MonkeyPatch.context() as monkeypatch:
         fits = _counting_fits(monkeypatch)
-        for name, (kind, seed, weights, _) in PINNED_RUNS.items():
+        grads = _recording_renders(monkeypatch)
+        for name, (kind, seed, weights, *_) in PINNED_RUNS.items():
             scene = make_scene(kind, 64, 4, seed, image_size=(32, 32))
             fits[0] = 0
+            grads.clear()
             bank, report = train_masks(
                 scene,
                 weights,
@@ -404,21 +422,32 @@ def pinned_runs():
             )
             masks = b"".join(bank.level(level).tobytes() for level in range(3))
             texts = (masks, report.loss_curve_csv().encode(), report.to_json().encode())
-            results[name] = (tuple(hashlib.sha256(t).hexdigest()[:16] for t in texts), fits[0])
+            results[name] = (tuple(hashlib.sha256(t).hexdigest()[:16] for t in texts), fits[0], list(grads))
     return results
 
 
 class TestTrainingBits:
     @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
     def test_digests_pinned(self, pinned_runs, name):
-        digests, _ = pinned_runs[name]
+        digests, _, _ = pinned_runs[name]
         assert digests == PINNED_RUNS[name][3], f"new digest triple for {name}: {digests}"
 
     def test_priors_refit_when_the_active_set_changes(self, pinned_runs):
         # motion-dense 101 fits its priors 31 times in 2600 progressive steps:
         # once per level and active set, not once per step
-        _, fits = pinned_runs["motion-dense-101"]
+        _, fits, _ = pinned_runs["motion-dense-101"]
         assert 3 < fits < 100
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_render_passes_only_for_a_new_mask(self, pinned_runs, name):
+        # a step whose (level, timestep) meets the mask bytes it last met
+        # reuses that render pass; the digests above show the reuse exact
+        _, _, grads = pinned_runs[name]
+        assert len(grads) == PINNED_RUNS[name][4]
+
+    def test_stored_render_gradients_are_read_only(self, pinned_runs):
+        _, _, grads = pinned_runs["motion-dense-101"]
+        assert not any(grad.flags.writeable for grad in grads)
 
     def test_priors_fit_once_per_level_on_a_fixed_active_set(self, monkeypatch):
         fits = _counting_fits(monkeypatch)
