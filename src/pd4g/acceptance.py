@@ -224,7 +224,7 @@ def _render_gradient_error(rng: np.random.Generator, level: int) -> float:
 def criterion_gradients(configs: int = 100) -> tuple[bool, str]:
     """level_loss's rate/consistency gradients and the render gradient match central differences."""
     rng = np.random.default_rng(41)
-    quant = dict(toyscene.DEFAULT_QUANT_STEPS)
+    quant = dict(bitstream.DEFAULT_QUANT_STEPS)
     # one term of level_loss at a time; the rate term's priors are refitted
     # for every mask in the stencil, as training refits them whenever the
     # level's active set changes
@@ -236,7 +236,7 @@ def criterion_gradients(configs: int = 100) -> tuple[bool, str]:
     worst = {"rate": 0.0, "binary": 0.0, "smooth": 0.0, "render": 0.0}
     for _ in range(configs):
         anchors, mask, pairs = _random_gradient_fixture(rng)
-        table = losses.pair_weights(anchors.positions, losses.LossWeights().tau)  # every term's tau
+        table = losses.pair_weights(anchors.positions, losses.TAU)
 
         def objective(term, m):
             bits = None
@@ -329,7 +329,7 @@ def expected_reconstruction(anchors, bank, table, indices, q):
 def criterion_prefix_decodability(containers: int = 20) -> tuple[bool, str]:
     """Every chunk-boundary truncation decodes; full round trip is exact."""
     rng = np.random.default_rng(42)
-    q = dict(toyscene.DEFAULT_QUANT_STEPS)
+    q = dict(bitstream.DEFAULT_QUANT_STEPS)
     cfg = bitstream.EncodeConfig(quant_steps=q)
     for case in range(containers):
         anchors, bank, table = random_asset(rng)

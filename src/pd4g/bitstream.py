@@ -33,9 +33,6 @@ VERSION = 2
 HEADER = struct.Struct("<4sBBBBIHH6dB")
 CHUNK_ENTRY = struct.Struct("<BQQI")
 HEADER_CRC = struct.Struct("<I")
-HEADER_BASE_SIZE = HEADER.size
-CHUNK_ENTRY_SIZE = CHUNK_ENTRY.size
-HEADER_CRC_SIZE = HEADER_CRC.size
 DEFAULT_PRESET = 6
 DICT_SIZE = 2**20  # every chunk's LZMA2 dictionary, whatever the preset
 INT_WIDTHS = (1, 2, 4)
@@ -280,7 +277,7 @@ def encode(
 
 
 def _parse_header(data: bytes):
-    if len(data) < HEADER_BASE_SIZE:
+    if len(data) < HEADER.size:
         raise TruncatedStreamError("stream shorter than the fixed header")
     magic, version, preset, flags, dim, count, feature_dim, step_count, *steps, chunk_count = HEADER.unpack_from(data)
     if magic != MAGIC:
@@ -289,8 +286,8 @@ def _parse_header(data: bytes):
         raise FormatError(f"unsupported container version {version}")
     if not 0 < chunk_count <= 3:
         raise FormatError(f"chunk table claims {chunk_count} chunks")
-    table_end = HEADER_BASE_SIZE + chunk_count * CHUNK_ENTRY_SIZE
-    if len(data) < table_end + HEADER_CRC_SIZE:
+    table_end = HEADER.size + chunk_count * CHUNK_ENTRY.size
+    if len(data) < table_end + HEADER_CRC.size:
         raise TruncatedStreamError("stream ends inside the chunk table")
     if zlib.crc32(data[:table_end]) & 0xFFFFFFFF != HEADER_CRC.unpack_from(data, table_end)[0]:
         raise FormatError("header and chunk table fail their CRC32")
@@ -306,7 +303,7 @@ def _parse_header(data: bytes):
             raise FormatError(
                 f"quantization step for {fam!r} is {step!r}; it must be positive and finite, also times 2**31"
             )
-    chunks = [ChunkInfo(*entry) for entry in CHUNK_ENTRY.iter_unpack(data[HEADER_BASE_SIZE:table_end])]
+    chunks = [ChunkInfo(*entry) for entry in CHUNK_ENTRY.iter_unpack(data[HEADER.size:table_end])]
     for i, info in enumerate(chunks):
         if info.layer != i:
             raise FormatError(f"chunk {i} labeled layer {info.layer}; layers must start at 0 and ascend")
@@ -317,7 +314,7 @@ def _parse_header(data: bytes):
         "feature_dim": feature_dim,
         "step_count": step_count,
         "quant": quant,
-        "header_bytes": table_end + HEADER_CRC_SIZE,
+        "header_bytes": table_end + HEADER_CRC.size,
         "chunks": chunks,
     }
 

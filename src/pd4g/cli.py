@@ -126,9 +126,8 @@ def cmd_encode(args) -> int:
         raise _CliError(EXIT_RUNTIME, f"mask bank not found: {bank_path}")
     scene = cfg.make_scene()
     bank = _bank_from_json(bank_path, cfg.anchor_count)
-    encode_cfg = bitstream.EncodeConfig(quant_steps=cfg.quant_steps(), preset=cfg.compressor_preset)
     try:
-        blob = bitstream.encode(scene.anchors, bank, scene.deformations, encode_cfg)
+        blob = bitstream.encode(scene.anchors, bank, scene.deformations)
     except bitstream.EmptyBaseLayerError as exc:
         raise _CliError(EXIT_RUNTIME, f"encode failed: {exc}") from exc
     container = out / "asset.pd4g"

@@ -4,12 +4,13 @@ One line per key (``key = value``, '#' comments), every key validated against
 a registry with explicit units in the names. A ``RunConfig`` is an immutable
 value, validated when it is built: by construction, by ``dataclasses.replace``
 and by ``parse_config`` alike, so an invalid one never exists. A key exists
-only for what a run varies: the method's fixed loss and rollout constants are
-not keys, and live in ``LossWeights`` and ``RolloutConfig`` alone. Published
-defaults are read from their owners (``LossWeights``, ``RolloutConfig``,
-``asset``, ``bitstream``), never restated; the desk-scale schedule knobs
-(steps, learning rate) default to values that converge on toy scenes in under
-a minute.
+only for what a run varies: the method's fixed loss and rollout constants, the
+activation threshold, the feature width and the codec's quant steps and preset
+are not keys, and live with their owners (``LossWeights``, ``losses``,
+``RolloutConfig``, ``asset``, ``toyscene``, ``bitstream``) alone. Published
+defaults are read from those owners, never restated; the desk-scale schedule
+knobs (steps, learning rate) default to values that converge on toy scenes in
+under a minute.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import ClassVar
 
 from . import toyscene
 from .asset import MASK_THRESHOLD, MaskBank
-from .bitstream import DEFAULT_PRESET, DEFAULT_QUANT_STEPS, MAX_FEATURE_DIM, QUANT_FAMILIES, usable_quant_step
+from .bitstream import DEFAULT_PRESET, DEFAULT_QUANT_STEPS
 from .losses import LossWeights
 from .rollout import RolloutConfig
 
@@ -46,11 +48,9 @@ class RunConfig:
     timestep_count: int = 4
     image_width: int = 32
     image_height: int = 32
-    feature_dim: int = 4
 
     lambda_layer0: float = _LOSS.lambda_layer[0]
     binary_weight: float = _LOSS.binary_weight
-    mask_threshold: float = MASK_THRESHOLD
 
     sample_period: int = _ROLLOUT.sample_period
     warmup_steps: int = _ROLLOUT.warmup_steps
@@ -59,15 +59,12 @@ class RunConfig:
     progressive_start_step: int = 400
     learning_rate: float = 0.4
 
-    quant_step_position: float = DEFAULT_QUANT_STEPS["position"]
-    quant_step_feature: float = DEFAULT_QUANT_STEPS["feature"]
-    quant_step_scale: float = DEFAULT_QUANT_STEPS["scale"]
-    quant_step_offset: float = DEFAULT_QUANT_STEPS["offset"]
-    quant_step_mask: float = DEFAULT_QUANT_STEPS["mask"]
-    quant_step_deform: float = DEFAULT_QUANT_STEPS["deform"]
-    compressor_preset: int = DEFAULT_PRESET
-
     out_dir: str = "out"
+
+    # fixed values perfbench/workloads.py reads off a config, as it does quant_steps(); constants, not keys
+    feature_dim: ClassVar[int] = toyscene.FEATURE_DIM
+    mask_threshold: ClassVar[float] = MASK_THRESHOLD
+    compressor_preset: ClassVar[int] = DEFAULT_PRESET
 
     def __post_init__(self) -> None:
         for name, kind in _FIELD_TYPES.items():
@@ -84,10 +81,6 @@ class RunConfig:
             raise ConfigError("timestep_count must lie in [1, 32]")
         if self.image_width < 8 or self.image_height < 8:
             raise ConfigError("image_width/image_height must be at least 8")
-        if not (1 <= self.feature_dim <= MAX_FEATURE_DIM):
-            raise ConfigError(f"feature_dim must lie in [1, {MAX_FEATURE_DIM}]")
-        if not (0.0 < self.mask_threshold < 1.0):
-            raise ConfigError("mask_threshold must lie strictly inside (0, 1)")
         if self.train_steps < 0:
             raise ConfigError("train_steps must be non-negative")
         if self.progressive_start_step < 0:
@@ -97,11 +90,6 @@ class RunConfig:
         for name in ("lambda_layer0", "binary_weight"):
             if not (0 <= getattr(self, name) < math.inf):
                 raise ConfigError(f"{name} must be non-negative and finite")
-        for family, step in self.quant_steps().items():
-            if not usable_quant_step(step):
-                raise ConfigError(f"quant_step_{family} must be positive and finite, also times 2**31")
-        if not (0 <= self.compressor_preset <= 9):
-            raise ConfigError("compressor_preset must lie in 0..9")
         # LossWeights and RolloutConfig check the values they own, sample_period and warmup_steps too
         try:
             self.loss_weights()
@@ -118,7 +106,7 @@ class RunConfig:
         return replace(_ROLLOUT, sample_period=self.sample_period, warmup_steps=self.warmup_steps)
 
     def quant_steps(self) -> dict[str, float]:
-        return {family: getattr(self, f"quant_step_{family}") for family in QUANT_FAMILIES}
+        return dict(DEFAULT_QUANT_STEPS)
 
     def make_scene(self) -> toyscene.ToyScene:
         return toyscene.make_scene(
@@ -127,7 +115,6 @@ class RunConfig:
             self.timestep_count,
             self.seed,
             image_size=(self.image_width, self.image_height),
-            feature_dim=self.feature_dim,
         )
 
     def train_masks(self, scene: toyscene.ToyScene, seed: int) -> tuple[MaskBank, toyscene.TrainReport]:
@@ -139,8 +126,6 @@ class RunConfig:
             seed=seed,
             learning_rate=self.learning_rate,
             progressive_start=self.progressive_start_step,
-            threshold=self.mask_threshold,
-            quant_steps=self.quant_steps(),
         )
 
     def to_text(self) -> str:

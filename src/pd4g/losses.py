@@ -7,10 +7,11 @@ toward clean {0, 1} activation patterns shared by nearby anchors.
 ``level_loss`` is the one definition of that objective: training and the
 gradient acceptance check both call it. The render gradient is supplied
 externally; everything else is differentiated here in closed form, each
-term computing its value and gradient in one pass. The smoothness pair
-weights depend only on the anchor positions and ``tau``, which a run holds
-fixed, so they come from one (V, V) table, ``pair_weights``, built once per
-run and gathered from at every step.
+term computing its value and gradient in one pass. The smoothness length
+scale ``TAU`` and pair count ``PAIR_FACTOR`` are fixed constants of the
+method, not weights. The pair weights depend only on the anchor positions
+and ``TAU``, which a run holds fixed, so they come from one (V, V) table,
+``pair_weights``, built once per run and gathered from at every step.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .asset import check_layer, read_only
 from .seeds import rng_for
 
 MASK_EPS = 1e-7  # keeps exact {0,1} masks representable inside the logs
+TAU = 0.1  # smoothness length scale, in scene units
+PAIR_FACTOR = 4  # smoothness pairs sampled per anchor at each step
 
 
 class InsufficientAnchorsError(ValueError):
@@ -37,24 +40,20 @@ class LossWeights:
 
     ``lambda_layer`` holds the per-level rate weights, strongest for the base
     layer so it is compressed aggressively while the top layer keeps nearly
-    all anchors. ``binary_weight`` / ``smooth_weight`` scale the two
-    consistency terms inside the temporal weight and exist for ablations.
+    all anchors. ``lambda_temporal`` weighs the consistency term as a whole;
+    ``binary_weight`` / ``smooth_weight`` scale its two parts and exist for
+    ablations. The smoothness constants ``TAU`` and ``PAIR_FACTOR`` are not
+    weights and live at module level.
     """
 
     lambda_layer: tuple[float, float, float] = (0.04, 0.01, 0.00025)
     lambda_temporal: float = 0.01
-    tau: float = 0.1
-    pair_factor: int = 4
     binary_weight: float = 1.0
     smooth_weight: float = 1.0
 
     def __post_init__(self):
         if not all(0 <= w < math.inf for w in (*self.lambda_layer, self.lambda_temporal)):
             raise ValueError("loss weights must be non-negative and finite")
-        if not (0 < self.tau < math.inf):
-            raise ValueError("smoothness length scale tau must be positive and finite")
-        if self.pair_factor < 1:
-            raise ValueError("pair_factor must be at least 1")
         if not (0 <= self.binary_weight < math.inf and 0 <= self.smooth_weight < math.inf):
             raise ValueError("term scales must be non-negative and finite")
 
@@ -161,7 +160,7 @@ def level_loss(
     """One level's objective: render distortion + weighted rate + weighted consistency.
 
     ``mask`` is the sampled level's mask vector, ``table`` the run's
-    ``pair_weights(positions, weights.tau)``, and ``bits`` the per-anchor
+    ``pair_weights(positions, TAU)``, and ``bits`` the per-anchor
     bit cost under the current priors (``entropy.per_anchor_bits``), or
     None when the priors cannot be fitted; the rate ``mean(mask * bits)`` is
     then 0. Priors are held fixed (refitted whenever the level's active set

@@ -31,6 +31,7 @@ from .bitstream import DEFAULT_QUANT_STEPS
 from .seeds import counter_uniform, derive_seed, rng_for
 
 PSNR_CAP_DB = 99.0
+FEATURE_DIM = 4  # per-anchor feature width of a generated scene
 _SCALE_FLOOR = 1e-9  # blobs below this width contribute nothing
 
 SCENE_KINDS = ("static", "global-motion", "mixed", "motion-dense")
@@ -247,7 +248,7 @@ def make_scene(
     seed: int,
     *,
     image_size: tuple[int, int] = (64, 64),
-    feature_dim: int = 4,
+    feature_dim: int = FEATURE_DIM,
 ) -> ToyScene:
     """Generate a deterministic synthetic scene of the requested motion profile.
 
@@ -309,7 +310,6 @@ def make_scene(
             # must cost the base layer visibly more than its bit budget
             scales[movers] *= rng.uniform(1.15, 1.40, size=mover_count)
             opacities[movers] = np.clip(opacities[movers] * rng.uniform(1.05, 1.20, size=mover_count), 0.0, 1.0)
-        if kind == "motion-dense":
             # outward trajectories (plus jitter) carry movers clear of the
             # cluttered scene core instead of onto other anchors' content
             outward = positions[movers] - 0.5
@@ -450,7 +450,7 @@ def train_masks(
     # read-only gradient computed on it: a level whose mask did not move since
     # (the top level's often stays all ones) reuses them
     rendered: dict[tuple[int, int], tuple[bytes, float, np.ndarray]] = {}
-    pair_table = losses.pair_weights(scene.anchors.positions, weights.tau)
+    pair_table = losses.pair_weights(scene.anchors.positions, losses.TAU)
     trajectory: list[tuple[int, float, float]] = []
     curve: list[dict] = []
 
@@ -482,9 +482,7 @@ def train_masks(
                     bits = entropy.per_anchor_bits(scene.anchors, priors)
                 fitted[level] = (active_key, bits)
             bits = fitted[level][1]
-            pairs = losses.sample_pairs(
-                count, weights.pair_factor * count, derive_seed(seed, "pairs", step)
-            )
+            pairs = losses.sample_pairs(count, losses.PAIR_FACTOR * count, derive_seed(seed, "pairs", step))
             total, extra, rate, consistency = losses.level_loss(
                 render_loss, mask, level, weights, pair_table, pairs, bits
             )

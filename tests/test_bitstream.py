@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from pd4g.acceptance import expected_reconstruction, random_asset
 from pd4g.asset import AnchorSet, DeformationTable, LocalResiduals, MaskBank, active_set
 from pd4g.bitstream import (
-    CHUNK_ENTRY_SIZE,
-    HEADER_BASE_SIZE,
+    CHUNK_ENTRY,
+    DEFAULT_QUANT_STEPS,
+    HEADER,
     EmptyBaseLayerError,
     EncodeConfig,
     FormatError,
@@ -26,7 +27,7 @@ from pd4g.bitstream import (
     manifest,
 )
 from pd4g.entropy import quantize_array
-from pd4g.toyscene import DEFAULT_QUANT_STEPS, make_scene
+from pd4g.toyscene import make_scene
 
 
 @pytest.fixture()
@@ -311,7 +312,7 @@ class TestDecodePrefix:
         man = manifest(blob)
         end = man.cumulative_sizes[layer]
         edited = bytearray(blob[: end - cut] + junk + blob[end:])
-        entry = HEADER_BASE_SIZE + CHUNK_ENTRY_SIZE * layer
+        entry = HEADER.size + CHUNK_ENTRY.size * layer
         struct.pack_into("<Q", edited, entry + 9, man.chunks[layer].compressed_length - cut + len(junk))
         with pytest.raises(IntegrityError) as err:
             decode_prefix(_reseal(edited))
@@ -319,7 +320,7 @@ class TestDecodePrefix:
 
     def test_raw_length_beyond_ssize_t_is_integrity_error(self, asset):
         blob = bytearray(encode(*asset))
-        struct.pack_into("<Q", blob, HEADER_BASE_SIZE + 1, 2**64 - 1)  # layer 0's raw length
+        struct.pack_into("<Q", blob, HEADER.size + 1, 2**64 - 1)  # layer 0's raw length
         with pytest.raises(IntegrityError):
             decode_prefix(_reseal(blob))
 
@@ -401,7 +402,7 @@ _FILTERS = [{"id": lzma.FILTER_LZMA2, "preset": 6, "dict_size": 2**20}]
 def _reseal(blob) -> bytes:
     """``blob`` with the CRC32 that follows its chunk table recomputed."""
     out = bytearray(blob)
-    end = HEADER_BASE_SIZE + CHUNK_ENTRY_SIZE * out[HEADER_BASE_SIZE - 1]
+    end = HEADER.size + CHUNK_ENTRY.size * out[HEADER.size - 1]
     struct.pack_into("<I", out, end, zlib.crc32(out[:end]))
     return bytes(out)
 
@@ -424,7 +425,7 @@ def _rewrite_chunk(blob: bytes, layer: int, offset: int, fmt: str, *values, tail
     raw = raw[:keep] + tail
     comp = lzma.compress(bytes(raw), format=lzma.FORMAT_RAW, filters=_FILTERS)
     out = bytearray(blob[: bounds[layer]] + comp + blob[bounds[layer + 1] :])
-    entry = HEADER_BASE_SIZE + CHUNK_ENTRY_SIZE * layer
+    entry = HEADER.size + CHUNK_ENTRY.size * layer
     struct.pack_into("<QQI", out, entry + 1, len(raw), len(comp), zlib.crc32(raw))
     return _reseal(out)
 
@@ -558,8 +559,8 @@ def _mutated_containers(draw) -> bytes:
         layer = draw(st.integers(0, len(chunks) - 1))
         offset = draw(st.integers(0, chunks[layer].raw_length - len(patch)))
         return _rewrite_chunk(blob, layer, offset, f"{len(patch)}s", patch)
-    table_end = HEADER_BASE_SIZE + CHUNK_ENTRY_SIZE * len(chunks)
-    start, stop = draw(st.sampled_from([(4, HEADER_BASE_SIZE - 1), (HEADER_BASE_SIZE, table_end)]))
+    table_end = HEADER.size + CHUNK_ENTRY.size * len(chunks)
+    start, stop = draw(st.sampled_from([(4, HEADER.size - 1), (HEADER.size, table_end)]))
     offset = draw(st.integers(start, stop - len(patch)))
     return _reseal(blob[:offset] + patch + blob[offset + len(patch) :])
 

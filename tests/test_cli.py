@@ -80,6 +80,14 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == EXIT_VALIDATION
         assert "not_a_key" in capsys.readouterr().err
 
+    def test_codec_constant_in_config_is_validation_error(self, tmp_path, capsys):
+        # the compressor preset is a codec constant, not a key, even at its published value
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, FAST_TRAIN + "compressor_preset = 6\n", out)
+        assert main(["train", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert "compressor_preset" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_utf8_config_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "latin.cfg"
         cfg.write_bytes(b"seed = 5\n" + NOT_UTF8)

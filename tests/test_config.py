@@ -1,13 +1,18 @@
+import re
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import pytest
 
+from pd4g import asset, bitstream, toyscene
 from pd4g.config import ConfigError, RunConfig, parse_config
 from pd4g.losses import LossWeights
 from pd4g.rollout import RolloutConfig
 
-# the method's fixed loss and rollout constants, with their published values;
-# none of them is a config key
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+# the method's fixed loss, rollout, scene and codec constants, with their
+# published values; none of them is a config key
 FIXED_CONSTANTS = {
     "lambda_layer1": "0.01",
     "lambda_layer2": "0.00025",
@@ -19,6 +24,15 @@ FIXED_CONSTANTS = {
     "pi_aggressive1": "0.30",
     "pi_aggressive2": "0.55",
     "ema_alpha": "0.05",
+    "feature_dim": "4",
+    "mask_threshold": "0.01",
+    "quant_step_position": "0.0625",
+    "quant_step_feature": "0.0625",
+    "quant_step_scale": "0.0625",
+    "quant_step_offset": "0.0625",
+    "quant_step_mask": "0.00390625",
+    "quant_step_deform": "0.0625",
+    "compressor_preset": "6",
 }
 
 
@@ -53,24 +67,45 @@ class TestDefaults:
             "timestep_count",
             "image_width",
             "image_height",
-            "feature_dim",
             "lambda_layer0",
             "binary_weight",
-            "mask_threshold",
             "sample_period",
             "warmup_steps",
             "train_steps",
             "progressive_start_step",
             "learning_rate",
-            "quant_step_position",
-            "quant_step_feature",
-            "quant_step_scale",
-            "quant_step_offset",
-            "quant_step_mask",
-            "quant_step_deform",
-            "compressor_preset",
             "out_dir",
         }
+
+    def test_loss_weights_pinned(self):
+        # the smoothness constants tau and pair_factor are module constants of losses, not weights
+        assert [f.name for f in fields(LossWeights)] == [
+            "lambda_layer",
+            "lambda_temporal",
+            "binary_weight",
+            "smooth_weight",
+        ]
+
+    def test_benchmark_reads_exist(self):
+        # perfbench/workloads.py reads these off a config; tier-1 does not run it, so a
+        # name dropped from RunConfig would otherwise surface only as a failed benchmark run
+        cfg = RunConfig()
+        names = set(re.findall(r"\bcfg\.(\w+)", WORKLOADS.read_text()))
+        assert {"mask_threshold", "compressor_preset", "feature_dim", "quant_steps"} <= names
+        for name in names:
+            assert hasattr(cfg, name), f"perfbench/workloads.py reads cfg.{name}, which RunConfig lacks"
+        assert cfg.quant_steps() == bitstream.DEFAULT_QUANT_STEPS
+        assert cfg.mask_threshold == asset.MASK_THRESHOLD
+        assert cfg.compressor_preset == bitstream.DEFAULT_PRESET
+        assert cfg.feature_dim == toyscene.FEATURE_DIM
+
+    @pytest.mark.parametrize("name", ["feature_dim", "mask_threshold", "compressor_preset"])
+    def test_class_constant_is_not_settable(self, name):
+        value = getattr(RunConfig, name)
+        with pytest.raises(TypeError, match=name):
+            RunConfig(**{name: value})
+        with pytest.raises(TypeError, match=name):
+            replace(RunConfig(), **{name: value})
 
 
 class TestValue:
@@ -143,16 +178,16 @@ class TestParsing:
             parse_config("anchor_count = 2\n")
         with pytest.raises(ConfigError, match="sample_period"):
             parse_config("sample_period = 0\n")  # checked by RolloutConfig
-        with pytest.raises(ConfigError, match="quant_step_position"):
-            parse_config("quant_step_position = 1e308\n")  # step * 2**31 overflows
         for seed in (-(2**63) - 1, 2**63):  # seeds are hashed as signed 64-bit integers
             with pytest.raises(ConfigError, match="seed"):
                 parse_config(f"seed = {seed}\n")
-        with pytest.raises(ConfigError, match="feature_dim"):
-            parse_config("feature_dim = 65536\n")  # the container header stores F as u16
         with pytest.raises(ConfigError, match="learning_rate"):
             parse_config("learning_rate = inf\n")  # training would diverge at its first steps
-        assert parse_config(f"seed = {-(2**63)}\nfeature_dim = 65535\n").seed == -(2**63)
+        assert parse_config(f"seed = {-(2**63)}\n").seed == -(2**63)
+        # codec and scene constants are not keys, whatever the value
+        for line in ("quant_step_position = 1e308", "feature_dim = 65536", "feature_dim = 65535"):
+            with pytest.raises(ConfigError, match=f"unknown config key '{line.split()[0]}'"):
+                parse_config(line + "\n")
 
     @pytest.mark.parametrize("key, value", FIXED_CONSTANTS.items())
     def test_fixed_constant_is_unknown_key(self, key, value):

@@ -15,7 +15,7 @@ from pd4g.entropy import (
     per_anchor_bits,
     quantize_array,
 )
-from pd4g.losses import LossWeights, level_loss, pair_weights
+from pd4g.losses import TAU, LossWeights, level_loss, pair_weights
 
 # frozen against a 30-digit quadrature of the standard normal density
 CENTER_UNIT_INTERVAL_BITS = 1.3848665342909897
@@ -122,7 +122,7 @@ class TestQuantize:
 
 
 def _table(anchors):
-    return pair_weights(anchors.positions, LossWeights().tau)
+    return pair_weights(anchors.positions, TAU)
 
 
 class TestLayerRate:

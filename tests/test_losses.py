@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from pd4g.losses import (
+    PAIR_FACTOR,
+    TAU,
     InsufficientAnchorsError,
     LossWeights,
     binary_entropy,
@@ -179,7 +181,7 @@ class TestLevelLoss:
         mask = np.asarray(mask, dtype=float)
         positions = np.random.default_rng(0).uniform(0, 1, (mask.size, 2))
         pairs = sample_pairs(mask.size, 4 * mask.size, 5)
-        return mask, pair_weights(positions, LossWeights().tau), pairs
+        return mask, pair_weights(positions, TAU), pairs
 
     def test_reduces_to_render_loss_without_weights(self):
         mask, table, pairs = self._setup(np.full(6, 0.37))
@@ -250,12 +252,11 @@ class TestLossWeights:
         w = LossWeights()
         assert w.lambda_layer == (0.04, 0.01, 0.00025)
         assert w.lambda_temporal == 0.01
+        assert (TAU, PAIR_FACTOR) == (0.1, 4)
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             LossWeights(lambda_layer=(-0.1, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            LossWeights(tau=0.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -265,8 +266,6 @@ class TestLossWeights:
             {"lambda_temporal": math.inf},
             {"binary_weight": math.nan},
             {"smooth_weight": math.inf},
-            {"tau": math.nan},
-            {"tau": math.inf},
         ],
     )
     def test_rejects_non_finite_weights(self, kwargs):
