@@ -21,6 +21,7 @@ own arrays this way, so each exists once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,17 +40,17 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _frozen(a, dtype=np.float64) -> np.ndarray:
-    """``a`` as a read-only array of ``dtype``: adopted if it qualifies (see the module docstring), else copied."""
+def _frozen(a) -> np.ndarray:
+    """``a`` as a read-only float64 array: adopted if it qualifies (see the module docstring), else copied."""
     if (
         type(a) is np.ndarray
-        and a.dtype == dtype
+        and a.dtype == np.float64
         and a.flags.c_contiguous
         and a.flags.owndata
         and not a.flags.writeable
     ):
         return a
-    return read_only(np.array(a, dtype=dtype, copy=True))
+    return read_only(np.array(a, dtype=np.float64, copy=True))
 
 
 def check_layer(level: int) -> int:
@@ -126,11 +127,11 @@ class MaskBank:
     """Per-level keep/drop masks in [0, 1], one value per anchor per level.
 
     Stored values are clamped into [0, 1] on construction. ``threshold`` is
-    the hard activation cut applied at deployment (strictly greater-than).
+    ``MASK_THRESHOLD``, the hard activation cut of every bank (strictly greater-than).
     """
 
     levels: tuple[np.ndarray, np.ndarray, np.ndarray]
-    threshold: float = MASK_THRESHOLD
+    threshold: ClassVar[float] = MASK_THRESHOLD
 
     def __post_init__(self):
         if len(self.levels) != LAYER_COUNT:
@@ -142,8 +143,6 @@ class MaskBank:
         counts = {m.shape for m in self.levels}
         if len(counts) != 1 or self.levels[0].ndim != 1:
             raise ValueError("all mask levels must be flat arrays of equal length")
-        if not (0.0 < self.threshold < 1.0):
-            raise ValueError("threshold must lie strictly inside (0, 1)")
 
     @property
     def count(self) -> int:
@@ -153,9 +152,9 @@ class MaskBank:
         return self.levels[check_layer(level)]
 
     @staticmethod
-    def all_ones(count: int, threshold: float = MASK_THRESHOLD) -> "MaskBank":
+    def all_ones(count: int) -> "MaskBank":
         ones = np.ones(count)
-        return MaskBank(levels=(ones, ones.copy(), ones.copy()), threshold=threshold)
+        return MaskBank(levels=(ones, ones.copy(), ones.copy()))
 
 
 @dataclass(frozen=True)
@@ -230,11 +229,9 @@ class DeformationTable:
         return int(np.argmin(np.abs(self.timesteps - float(t))))
 
 
-def active_set(mask: np.ndarray, threshold: float) -> np.ndarray:
-    """Indices of anchors whose mask strictly exceeds the threshold, ascending."""
-    if not (0.0 < float(threshold) < 1.0):
-        raise ValueError("threshold must lie strictly inside (0, 1)")
-    return np.flatnonzero(np.asarray(mask, dtype=np.float64) > float(threshold))
+def active_set(mask: np.ndarray) -> np.ndarray:
+    """Indices of anchors whose mask strictly exceeds ``MASK_THRESHOLD``, ascending."""
+    return np.flatnonzero(np.asarray(mask, dtype=np.float64) > MASK_THRESHOLD)
 
 
 def activation_rate(bank: MaskBank) -> float:

@@ -236,7 +236,7 @@ def encode(
             f"deformation table is {deformations.displacements.shape[2]}-D but the anchors are {anchors.dim}-D"
         )
 
-    act = [active_set(bank.level(level), bank.threshold) for level in range(3)]
+    act = [active_set(bank.level(level)) for level in range(3)]
     if act[0].size == 0:
         raise EmptyBaseLayerError("no anchor exceeds the base-layer mask threshold")
 

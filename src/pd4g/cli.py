@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance, bitstream, stream, toyscene
-from .asset import LAYER_COUNT, MaskBank
+from .asset import LAYER_COUNT, MASK_THRESHOLD, MaskBank
 from .config import ConfigError, RunConfig, parse_config
 
 EXIT_OK = 0
@@ -84,6 +84,8 @@ def _bank_from_json(path: Path, anchor_count: int) -> MaskBank:
     for key in ("threshold", "levels"):
         if key not in payload:
             raise invalid(f"missing field {key!r}")
+    if payload["threshold"] != MASK_THRESHOLD:
+        raise invalid(f"field 'threshold' must be the fixed activation cut {MASK_THRESHOLD}, got {payload['threshold']!r}")
     levels = payload["levels"]
     if not isinstance(levels, list) or len(levels) != LAYER_COUNT:
         raise invalid(f"field 'levels' must be a list of {LAYER_COUNT} levels")
@@ -91,10 +93,7 @@ def _bank_from_json(path: Path, anchor_count: int) -> MaskBank:
         if not isinstance(level, list) or len(level) != anchor_count:
             raise invalid(f"field 'levels'[{i}] must list {anchor_count} masks, one per anchor of the config")
     try:
-        return MaskBank(
-            levels=tuple(np.asarray(level, dtype=np.float64) for level in levels),
-            threshold=float(payload["threshold"]),
-        )
+        return MaskBank(levels=tuple(np.asarray(level, dtype=np.float64) for level in levels))
     except (TypeError, ValueError) as exc:
         raise invalid(str(exc)) from exc
 
@@ -120,8 +119,7 @@ def cmd_train(args) -> int:
 
 def cmd_encode(args) -> int:
     cfg = _load_run_config(args)
-    out = _out_dir(cfg)
-    bank_path = Path(args.masks) if args.masks else out / "masks.json"
+    bank_path = Path(args.masks) if args.masks else Path(cfg.out_dir) / "masks.json"
     if not bank_path.exists():
         raise _CliError(EXIT_RUNTIME, f"mask bank not found: {bank_path}")
     scene = cfg.make_scene()
@@ -130,6 +128,7 @@ def cmd_encode(args) -> int:
         blob = bitstream.encode(scene.anchors, bank, scene.deformations)
     except bitstream.EmptyBaseLayerError as exc:
         raise _CliError(EXIT_RUNTIME, f"encode failed: {exc}") from exc
+    out = _out_dir(cfg)
     container = out / "asset.pd4g"
     container.write_bytes(blob)
     man = bitstream.manifest(blob)

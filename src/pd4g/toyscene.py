@@ -24,6 +24,7 @@ from .asset import (
     MaskBank,
     MissingLayerError,
     activation_rate,
+    active_set,
     check_layer,
     read_only,
 )
@@ -40,8 +41,8 @@ SCENE_KINDS = ("static", "global-motion", "mixed", "motion-dense")
 class TrainingDivergedError(RuntimeError):
     """Training hit a non-finite loss; carries the offending step index."""
 
-    def __init__(self, step: int, message: str | None = None):
-        super().__init__(message or f"training loss became non-finite at step {step}")
+    def __init__(self, step: int):
+        super().__init__(f"training loss became non-finite at step {step}")
         self.step = step
 
 
@@ -416,8 +417,11 @@ def train_masks(
     refitted whenever that level's active set changes; with fewer than two
     active the rate is 0. Masks follow projected gradient descent onto
     [0, 1]. Every ``sample_period`` steps the activation rate is re-measured
-    and folded into the scheduler's moving average.
+    and folded into the scheduler's moving average. ``threshold`` must be
+    ``MASK_THRESHOLD``, the one activation cut.
     """
+    if threshold != MASK_THRESHOLD:
+        raise ValueError(f"threshold is fixed at {MASK_THRESHOLD}, got {threshold}")
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if scene.deformations is None:
@@ -456,7 +460,7 @@ def train_masks(
 
     for step in range(steps):
         if step % rollout_config.sample_period == 0:
-            bank_now = MaskBank(levels=(levels[0], levels[1], levels[2]), threshold=threshold)
+            bank_now = MaskBank(levels=(levels[0], levels[1], levels[2]))
             sample = activation_rate(bank_now)
             ema = rollout.update_ema(ema, sample, rollout_config)
             trajectory.append((step, sample, ema))
@@ -473,7 +477,7 @@ def train_masks(
         _, render_loss, grad = rendered[level, k]
         total, rate, consistency = render_loss, 0.0, 0.0
         if step >= progressive_start:
-            active = mask > threshold
+            active = mask > MASK_THRESHOLD
             active_key = active.tobytes()
             if fitted[level] is None or fitted[level][0] != active_key:
                 bits = None
@@ -503,7 +507,7 @@ def train_masks(
             }
         )
 
-    bank = MaskBank(levels=(levels[0], levels[1], levels[2]), threshold=threshold)
+    bank = MaskBank(levels=(levels[0], levels[1], levels[2]))
     final_pi = rollout.current_distribution(ema, steps, rollout_config)
 
     psnr_levels = []
@@ -514,7 +518,7 @@ def train_masks(
             for k, gt in enumerate(scene.ground_truth)
         ]
         psnr_levels.append(float(np.mean(values)))
-        active_levels.append(int(np.flatnonzero(bank.level(level) > threshold).size))
+        active_levels.append(active_set(bank.level(level)).size)
 
     report = TrainReport(
         steps=steps,

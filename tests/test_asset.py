@@ -1,11 +1,11 @@
+import inspect
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pd4g.asset import (
+    MASK_THRESHOLD,
     AnchorSet,
     DeformationTable,
     LocalResiduals,
@@ -93,29 +93,13 @@ class TestAnchorSet:
 
 class TestActiveSet:
     def test_threshold_example(self):
-        assert list(active_set(np.array([0.005, 0.011, 1.0]), 0.01)) == [1, 2]
+        assert list(active_set(np.array([0.005, 0.01, 0.011, 1.0]))) == [2, 3]
 
     def test_all_zero(self):
-        assert active_set(np.zeros(5), 0.01).size == 0
+        assert active_set(np.zeros(5)).size == 0
 
     def test_all_one(self):
-        assert list(active_set(np.ones(5), 0.01)) == [0, 1, 2, 3, 4]
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            active_set(np.ones(3), 0.0)
-
-    @settings(deadline=None, max_examples=50)
-    @given(
-        mask=st.lists(st.floats(0, 1), min_size=1, max_size=20),
-        lo=st.floats(0.01, 0.5),
-        hi=st.floats(0.5, 0.99),
-    )
-    def test_raising_threshold_never_adds(self, mask, lo, hi):
-        mask = np.array(mask)
-        low = set(active_set(mask, lo))
-        high = set(active_set(mask, hi))
-        assert high <= low
+        assert list(active_set(np.ones(5))) == [0, 1, 2, 3, 4]
 
 
 class TestActivationRate:
@@ -229,9 +213,12 @@ class TestMaskBank:
         bank = MaskBank(levels=(np.array([-1.0, 2.0]), np.zeros(2), np.ones(2)))
         assert list(bank.level(0)) == [0.0, 1.0]
 
-    def test_threshold_domain(self):
-        with pytest.raises(ValueError):
-            MaskBank(levels=(np.ones(2), np.ones(2), np.ones(2)), threshold=1.0)
+    def test_threshold_is_the_published_constant(self):
+        assert [f.name for f in fields(MaskBank)] == ["levels"]
+        assert MaskBank.all_ones(2).threshold == MaskBank.threshold == MASK_THRESHOLD == 0.01
+        assert [list(inspect.signature(f).parameters) for f in (MaskBank.all_ones, active_set)] == [["count"], ["mask"]]
+        with pytest.raises(TypeError, match="threshold"):
+            MaskBank(levels=(np.ones(2), np.ones(2), np.ones(2)), threshold=0.5)
 
     def test_rejects_nan(self):
         # clipping keeps NaN, and a NaN mask is never above the threshold

@@ -664,7 +664,7 @@ def _expected_prefix(anchors, bank, deformations, max_level: int):
     members' positions in the union of the levels present; all else is zero.
     """
     q = DEFAULT_QUANT_STEPS
-    members = [active_set(bank.level(level), bank.threshold) for level in range(max_level + 1)]
+    members = [active_set(bank.level(level)) for level in range(max_level + 1)]
     union = np.unique(np.concatenate(members))
     arrays = {"anchor_indices": union}
     for name, family in (("positions", "position"), ("features", "feature"), ("scales", "scale"), ("offsets", "offset")):

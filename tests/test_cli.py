@@ -156,6 +156,7 @@ class TestEncodeInspect:
         cfg = write_config(tmp_path, FAST_TRAIN, out)
         assert main(["encode", "--config", str(cfg)]) == EXIT_RUNTIME
         assert "mask bank" in capsys.readouterr().err
+        assert not out.exists()  # inputs are read before the output directory is made
 
     def test_empty_base_layer_is_runtime_error(self, tmp_path, capsys):
         out = tmp_path / "empty"
@@ -168,13 +169,22 @@ class TestEncodeInspect:
 
     @pytest.mark.parametrize(
         "case, field",
-        [("no threshold", "'threshold'"), ("two levels", "'levels'"), ("15 anchors", "'levels'[0]"), ("NaN", "NaN")],
+        [
+            ("no threshold", "'threshold'"),
+            ("other threshold", "'threshold'"),
+            ("two levels", "'levels'"),
+            ("15 anchors", "'levels'[0]"),
+            ("NaN", "NaN"),
+        ],
     )
     def test_malformed_masks_are_validation_errors(self, trained_dir, tmp_path, capsys, case, field):
         cfg, out = trained_dir
         bank = json.loads((out / "masks.json").read_text())
         if case == "no threshold":
             del bank["threshold"]
+        elif case == "other threshold":  # the container does not record the cut, so its decode would use 0.01
+            bank["threshold"] = 0.001
+            bank["levels"][0][0] = 0.005
         elif case == "two levels":
             bank["levels"].pop()
         elif case == "NaN":  # the JSON reader accepts NaN
@@ -187,7 +197,7 @@ class TestEncodeInspect:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert str(masks) in err and field in err
-        assert not (tmp_path / "out" / "asset.pd4g").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_non_utf8_masks_is_validation_error(self, trained_dir, tmp_path, capsys):
         cfg, _ = trained_dir

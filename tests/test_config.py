@@ -1,3 +1,6 @@
+import ast
+import importlib
+import inspect
 import re
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -9,7 +12,10 @@ from pd4g.config import ConfigError, RunConfig, parse_config
 from pd4g.losses import LossWeights
 from pd4g.rollout import RolloutConfig
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
+# the benchmark's timing wrappers, called as wrapper(fn, *args, **kwargs)
+CALL_WRAPPERS = ("_timed", "call")
 
 # the method's fixed loss, rollout, scene and codec constants, with their
 # published values; none of them is a config key
@@ -34,6 +40,48 @@ FIXED_CONSTANTS = {
     "quant_step_deform": "0.0625",
     "compressor_preset": "6",
 }
+
+
+def _pd4g_names(tree: ast.Module) -> dict[str, object]:
+    """What each name a benchmark file imports from pd4g is bound to."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pd4g":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(module, alias.name):  # a submodule not yet imported
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                names[alias.asname or alias.name] = getattr(module, alias.name)
+    return names
+
+
+def _resolve(expr: ast.expr, names: dict[str, object], where: str):
+    """The pd4g object that ``expr`` (such as ``rollout.RolloutConfig``) names, or None for any other."""
+    if isinstance(expr, ast.Name):
+        return names.get(expr.id)
+    if isinstance(expr, ast.Attribute):
+        owner = _resolve(expr.value, names, where)
+        if owner is not None:
+            assert hasattr(owner, expr.attr), f"{where} uses {ast.unparse(expr)}, which pd4g lacks"
+            return getattr(owner, expr.attr)
+    return None
+
+
+def _pd4g_calls(path: Path):
+    """(where, callee, positional count, keyword names) of each call into pd4g in ``path``, wrapped or direct."""
+    tree = ast.parse(path.read_text())
+    names = _pd4g_names(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        where = f"perfbench/{path.name}:{node.lineno}"
+        args = node.args
+        wrapped = isinstance(node.func, ast.Name) and node.func.id in CALL_WRAPPERS and len(args) > 0
+        callee = _resolve(args[0] if wrapped else node.func, names, where)
+        if callee is not None:
+            positional = args[1:] if wrapped else args
+            assert not any(isinstance(a, ast.Starred) for a in positional), where
+            yield where, callee, len(positional), [k.arg for k in node.keywords]
 
 
 class TestDefaults:
@@ -98,6 +146,41 @@ class TestDefaults:
         assert cfg.mask_threshold == asset.MASK_THRESHOLD
         assert cfg.compressor_preset == bitstream.DEFAULT_PRESET
         assert cfg.feature_dim == toyscene.FEATURE_DIM
+
+    def test_benchmark_calls_match_signatures(self):
+        # tier-1 does not run perfbench/, so a parameter narrowed or dropped in pd4g
+        # would otherwise surface only as a failed benchmark run
+        checked = set()
+        for name in ("rounds.py", "workloads.py", "oracle.py"):
+            for where, callee, positional, keywords in _pd4g_calls(PERFBENCH / name):
+                assert None not in keywords, f"{where}: a **mapping argument cannot be checked"
+                try:
+                    inspect.signature(callee).bind_partial(*[None] * positional, **dict.fromkeys(keywords))
+                except TypeError as exc:
+                    pytest.fail(f"{where} calls {callee.__qualname__}: {exc}")
+                checked.add(callee.__qualname__)
+        assert {"train_masks", "make_scene", "RolloutConfig", "EncodeConfig", "MaskBank", "encode"} <= checked
+        # train_masks accepts the threshold the benchmark passes
+        cfg = RunConfig(anchor_count=4, timestep_count=1, image_width=8, image_height=8)
+        schedule = dict(steps=0, seed=0, learning_rate=cfg.learning_rate, progressive_start=0)
+        bank, _ = toyscene.train_masks(
+            cfg.make_scene(), cfg.loss_weights(), cfg.rollout_config(), threshold=RunConfig.mask_threshold, **schedule
+        )
+        assert bank.threshold == RunConfig.mask_threshold
+
+    def test_benchmark_traced_functions_exist(self):
+        # perfbench/tracing.py replaces each (module, attribute) of _FUNCTIONS in the module's namespace
+        tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+        names = _pd4g_names(tree)
+        (table,) = [
+            node.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_FUNCTIONS"]
+        ]
+        assert table.elts
+        for entry in table.elts:
+            module, attr = names[entry.elts[0].id], entry.elts[1].value
+            assert callable(vars(module).get(attr)), f"perfbench/tracing.py traces {module.__name__}.{attr}, which is gone"
 
     @pytest.mark.parametrize("name", ["feature_dim", "mask_threshold", "compressor_preset"])
     def test_class_constant_is_not_settable(self, name):

@@ -319,6 +319,11 @@ class TestTrainMasks:
             assert np.all(bank.level(level) == 1.0)
         assert report.steps == 0
 
+    def test_threshold_is_fixed(self, small_scene):
+        kwargs = dict(steps=0, seed=1, learning_rate=0.4, progressive_start=400)
+        with pytest.raises(ValueError, match="threshold"):
+            train_masks(small_scene, LossWeights(), RolloutConfig(), threshold=0.02, **kwargs)
+
     def test_deterministic_given_seed(self, small_scene):
         cfg = RolloutConfig(sample_period=10, warmup_steps=20)
         kwargs = dict(steps=60, seed=4, learning_rate=0.3, progressive_start=20)
