@@ -100,14 +100,13 @@ def criterion_latency_table() -> tuple[bool, str]:
 
 def criterion_distribution_interpolation() -> tuple[bool, str]:
     """Level-distribution endpoints exact; affine in the activation rate."""
-    cfg = rollout.RolloutConfig()
-    lo = rollout.level_distribution(0.0, cfg)
-    hi = rollout.level_distribution(1.0, cfg)
+    lo = rollout.level_distribution(0.0)
+    hi = rollout.level_distribution(1.0)
     if not (np.array_equal(lo, [1.0 / 3.0] * 3) and np.array_equal(hi, [0.15, 0.30, 0.55])):
         return False, f"endpoints wrong: {lo}, {hi}"
     worst = 0.0
     for rho in np.linspace(0.0, 1.0, 11):
-        pi = rollout.level_distribution(float(rho), cfg)
+        pi = rollout.level_distribution(float(rho))
         expect = (1.0 - rho) * lo + rho * hi
         worst = max(worst, float(np.max(np.abs(pi - expect))))
         if abs(float(pi.sum()) - 1.0) > 1e-9 or np.any(pi < 0):

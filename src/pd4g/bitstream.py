@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .asset import AnchorSet, DeformationTable, LocalResiduals, MaskBank, active_set, read_only
+from .asset import MASK_THRESHOLD, AnchorSet, DeformationTable, LocalResiduals, MaskBank, active_set, read_only
 from .entropy import quantize_array
 
 MAGIC = b"PD4G"
@@ -76,20 +76,14 @@ def usable_quant_step(step: float) -> bool:
 
 @dataclass(frozen=True)
 class EncodeConfig:
-    """Container-level knobs: per-family quantization steps and compressor preset."""
+    """The quant steps and preset pd4g writes; kept as keywords, they accept only the published values."""
 
     quant_steps: dict[str, float]
     preset: int = DEFAULT_PRESET
 
     def __post_init__(self):
-        missing = [f for f in QUANT_FAMILIES if f not in self.quant_steps]
-        if missing:
-            raise ValueError(f"missing quantization steps for families: {missing}")
-        for fam in QUANT_FAMILIES:
-            if not usable_quant_step(self.quant_steps[fam]):
-                raise ValueError(f"quantization step for {fam!r} must be positive and finite, also times 2**31")
-        if not (0 <= self.preset <= 9):
-            raise ValueError("compressor preset must lie in 0..9")
+        if self.quant_steps != DEFAULT_QUANT_STEPS or self.preset != DEFAULT_PRESET:
+            raise ValueError(f"pd4g writes only DEFAULT_QUANT_STEPS and preset {DEFAULT_PRESET}, got {self}")
 
     @staticmethod
     def default() -> "EncodeConfig":
@@ -212,10 +206,10 @@ def encode(
     global table rows of level-1 active anchors; the refinement chunk carries
     the local residual rows of level-2 active anchors. Anchors active above
     the base level but pruned from it travel as supplemental records inside
-    the higher chunk. Output is byte-identical for identical inputs.
+    the higher chunk. Output is byte-identical for identical inputs. A
+    ``config`` can hold only the published steps and preset, which are written.
     """
-    config = config or EncodeConfig.default()
-    q = config.quant_steps
+    q = DEFAULT_QUANT_STEPS
     if deformations.count != anchors.count or bank.count != anchors.count:
         raise ValueError("anchors, bank and deformation table must agree on anchor count")
     for name, value, limit in (
@@ -266,8 +260,8 @@ def encode(
 
     # --- header + chunk table + compressed payload
     sizes = (anchors.dim, anchors.count, anchors.feature_dim, deformations.step_count)
-    header = HEADER.pack(MAGIC, VERSION, config.preset, 0, *sizes, *(q[fam] for fam in QUANT_FAMILIES), len(chunks))
-    compressed = [compress_chunk(c, config.preset) for c in chunks]
+    header = HEADER.pack(MAGIC, VERSION, DEFAULT_PRESET, 0, *sizes, *(q[fam] for fam in QUANT_FAMILIES), len(chunks))
+    compressed = [compress_chunk(c, DEFAULT_PRESET) for c in chunks]
     table = [
         CHUNK_ENTRY.pack(layer, len(raw), len(comp), zlib.crc32(raw) & 0xFFFFFFFF)
         for layer, (raw, comp) in enumerate(zip(chunks, compressed))
@@ -481,6 +475,8 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
         )
         records.append(block)
         masks = r.ints(members.size) * q["mask"]
+        if masks.size and not (masks.min() > MASK_THRESHOLD and masks.max() <= 1.0):
+            raise FormatError(f"layer {level} carries a mask outside ({MASK_THRESHOLD}, 1]")
         tables = [r.ints(step_count, members.size, *s) for s in table_shapes[level]]
         if r.offset != len(raw):
             raise FormatError(f"layer {level} chunk payload has bytes after its last array")

@@ -17,30 +17,29 @@ from .seeds import counter_uniform
 
 _SUM_TOL = 1e-9
 UNIFORM_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)  # the schedule's fixed starting point
+AGGRESSIVE_WEIGHTS = (0.15, 0.30, 0.55)  # its fixed deeper-heavy end point
+EMA_ALPHA = 0.05  # the moving average's fixed rate
 
 
 @dataclass(frozen=True)
 class RolloutConfig:
-    """Fixed scheduling constants, identical across scenes."""
+    """The scheduler's cadence; its end point and EMA rate, kept as keywords, accept only the constants."""
 
-    aggressive_weights: tuple[float, float, float] = (0.15, 0.30, 0.55)
-    ema_alpha: float = 0.05
+    aggressive_weights: tuple[float, float, float] = AGGRESSIVE_WEIGHTS
+    ema_alpha: float = EMA_ALPHA
     sample_period: int = 200
     warmup_steps: int = 2000
 
     def __post_init__(self):
-        arr = np.asarray(self.aggressive_weights, dtype=np.float64)
-        if arr.shape != (3,) or np.any(arr < 0) or abs(float(arr.sum()) - 1.0) > _SUM_TOL:
-            raise ValueError(f"{self.aggressive_weights} is not a valid 3-way distribution")
-        if not (0.0 < self.ema_alpha <= 1.0):
-            raise ValueError("ema_alpha must lie in (0, 1]")
+        if self.aggressive_weights != AGGRESSIVE_WEIGHTS or self.ema_alpha != EMA_ALPHA:
+            raise ValueError(f"end point and EMA rate are fixed at {AGGRESSIVE_WEIGHTS} and {EMA_ALPHA}, got {self}")
         if self.sample_period < 1:
             raise ValueError("sample_period must be at least 1")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be non-negative")
 
 
-def level_distribution(activation: float, config: RolloutConfig) -> np.ndarray:
+def level_distribution(activation: float) -> np.ndarray:
     """Convex combination of the uniform and deeper-heavy endpoint distributions.
 
     ``activation`` = 0 reproduces the uniform endpoint exactly and 1 the
@@ -51,16 +50,16 @@ def level_distribution(activation: float, config: RolloutConfig) -> np.ndarray:
     if not (0.0 <= activation <= 1.0):
         raise ValueError(f"activation rate must lie in [0, 1], got {activation}")
     uniform = np.asarray(UNIFORM_WEIGHTS, dtype=np.float64)
-    aggressive = np.asarray(config.aggressive_weights, dtype=np.float64)
+    aggressive = np.asarray(AGGRESSIVE_WEIGHTS, dtype=np.float64)
     return (1.0 - activation) * uniform + activation * aggressive
 
 
-def update_ema(activation_ema: float, activation_sample: float, config: RolloutConfig) -> float:
+def update_ema(activation_ema: float, activation_sample: float) -> float:
     """Fold one activation-rate sample into the exponential moving average, clamped to [0, 1]."""
     activation_sample = float(activation_sample)
     if not (0.0 <= activation_sample <= 1.0):
         raise ValueError("activation sample must lie in [0, 1]")
-    ema = (1.0 - config.ema_alpha) * activation_ema + config.ema_alpha * activation_sample
+    ema = (1.0 - EMA_ALPHA) * activation_ema + EMA_ALPHA * activation_sample
     return min(1.0, max(0.0, ema))
 
 
@@ -73,7 +72,7 @@ def current_distribution(activation_ema: float, step: int, config: RolloutConfig
     """
     if step < config.warmup_steps:
         return np.asarray(UNIFORM_WEIGHTS, dtype=np.float64)
-    return level_distribution(activation_ema, config)
+    return level_distribution(activation_ema)
 
 
 def sample_level(pi: np.ndarray, seed: int, counter: int) -> int:

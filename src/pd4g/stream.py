@@ -31,6 +31,8 @@ built, as the integral's integers grow with those digits.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import operator
@@ -496,10 +498,10 @@ def latency_table(
 
 
 def latency_table_csv(rows: list[dict], bandwidths: Sequence[float]) -> str:
-    """CSV rendering of a latency grid, two decimal places."""
-    header = "label,size_mb," + ",".join(f"latency_{b:g}mbps_s" for b in bandwidths)
-    lines = [header]
+    """CSV rendering of a latency grid, two decimal places; a label with a comma or quote is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["label", "size_mb", *(f"latency_{b:g}mbps_s" for b in bandwidths)])
     for row in rows:
-        cells = ",".join(f"{v:.2f}" for v in row["latency_s"])
-        lines.append(f"{row['label']},{row['size_mb']:g},{cells}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([row["label"], f"{row['size_mb']:g}", *(f"{v:.2f}" for v in row["latency_s"])])
+    return out.getvalue()

@@ -418,15 +418,17 @@ def train_masks(
     active the rate is 0. Masks follow projected gradient descent onto
     [0, 1]. Every ``sample_period`` steps the activation rate is re-measured
     and folded into the scheduler's moving average. ``threshold`` must be
-    ``MASK_THRESHOLD``, the one activation cut.
+    ``MASK_THRESHOLD``, the one activation cut, and ``quant_steps`` None or
+    ``DEFAULT_QUANT_STEPS``, the steps the coder writes.
     """
     if threshold != MASK_THRESHOLD:
         raise ValueError(f"threshold is fixed at {MASK_THRESHOLD}, got {threshold}")
+    if quant_steps not in (None, DEFAULT_QUANT_STEPS):
+        raise ValueError(f"quant steps are fixed at {DEFAULT_QUANT_STEPS}, got {quant_steps}")
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if scene.deformations is None:
         raise ValueError("training requires a scene with deformation tables")
-    quant_steps = dict(DEFAULT_QUANT_STEPS if quant_steps is None else quant_steps)
     count = scene.anchors.count
     pixels = _pixel_grid(*scene.image_size)
     gt_flat = scene.ground_truth.reshape(scene.deformations.step_count, -1, 3)
@@ -447,8 +449,8 @@ def train_masks(
         return splat_cache[key]
 
     # per level, the last active set (as bytes) and the bits fitted on it:
-    # anchors and quant steps are fixed for the run, so the bits depend on
-    # the active set alone
+    # the anchors are fixed for the run and the quant steps are the codec's,
+    # so the bits depend on the active set alone
     fitted: list[tuple[bytes, np.ndarray | None] | None] = [None, None, None]
     # per (level, timestep), the last mask (as bytes) with the render loss and
     # read-only gradient computed on it: a level whose mask did not move since
@@ -462,7 +464,7 @@ def train_masks(
         if step % rollout_config.sample_period == 0:
             bank_now = MaskBank(levels=(levels[0], levels[1], levels[2]))
             sample = activation_rate(bank_now)
-            ema = rollout.update_ema(ema, sample, rollout_config)
+            ema = rollout.update_ema(ema, sample)
             trajectory.append((step, sample, ema))
 
         pi = rollout.current_distribution(ema, step, rollout_config)
@@ -482,7 +484,7 @@ def train_masks(
             if fitted[level] is None or fitted[level][0] != active_key:
                 bits = None
                 if int(active.sum()) >= 2:
-                    priors = entropy.family_priors(scene.anchors, active, quant_steps)
+                    priors = entropy.family_priors(scene.anchors, active, DEFAULT_QUANT_STEPS)
                     bits = entropy.per_anchor_bits(scene.anchors, priors)
                 fitted[level] = (active_key, bits)
             bits = fitted[level][1]

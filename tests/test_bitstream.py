@@ -15,13 +15,16 @@ from pd4g.acceptance import expected_reconstruction, random_asset
 from pd4g.asset import AnchorSet, DeformationTable, LocalResiduals, MaskBank, active_set
 from pd4g.bitstream import (
     CHUNK_ENTRY,
+    DEFAULT_PRESET,
     DEFAULT_QUANT_STEPS,
     HEADER,
+    QUANT_FAMILIES,
     EmptyBaseLayerError,
     EncodeConfig,
     FormatError,
     IntegrityError,
     TruncatedStreamError,
+    compress_chunk,
     decode_prefix,
     encode,
     manifest,
@@ -134,10 +137,25 @@ class TestEncode:
         with pytest.raises(ValueError, match=f"{field} is 65536, beyond the header field's 65535"):
             encode(a, MaskBank.all_ones(4), table)
 
-    @pytest.mark.parametrize("step", [0.0, -0.5, float("inf"), float("nan"), 1.7e308])
-    def test_config_rejects_steps_the_decoder_would(self, step):
-        with pytest.raises(ValueError, match="positive and finite"):
-            EncodeConfig(quant_steps={**DEFAULT_QUANT_STEPS, "scale": step})
+    @pytest.mark.parametrize(
+        "steps, preset",
+        [
+            *(
+                ({**DEFAULT_QUANT_STEPS, fam: step}, DEFAULT_PRESET)
+                for fam in QUANT_FAMILIES
+                for step in (0.0, -0.5, float("inf"), float("nan"), 1.7e308, 1 / 512, 1 / 16, 0.4)
+                if step != DEFAULT_QUANT_STEPS[fam]
+            ),
+            ({fam: DEFAULT_QUANT_STEPS[fam] for fam in QUANT_FAMILIES[:-1]}, DEFAULT_PRESET),
+            ({**DEFAULT_QUANT_STEPS, "color": 1 / 16}, DEFAULT_PRESET),
+            *((DEFAULT_QUANT_STEPS, preset) for preset in (0, 1, 2, 3, 4, 5, 7, 8, 9, 10, -1)),
+        ],
+    )
+    def test_config_refuses_unpublished_values(self, steps, preset):
+        # the published steps are the ones training's rate model prices, and
+        # the only mask step under which every mask above the cut decodes above it
+        with pytest.raises(ValueError, match="writes only"):
+            EncodeConfig(quant_steps=dict(steps), preset=preset)
 
     # sha256 of the container bytes, recorded when container version 2 packed
     # each int array at its own width: a given asset and config always encode the same
@@ -328,7 +346,9 @@ class TestDecodePrefix:
     def test_chunk_beyond_the_dictionary_round_trips(self, preset):
         # layer 1 repeats a random first row 1.3 MB later, past the 1 MiB
         # dictionary: an encoder left at the preset's own, larger dictionary
-        # (presets 2-9) refers back to it, and FORMAT.md's chain cannot follow
+        # (presets 2-9) refers back to it, and FORMAT.md's chain cannot follow.
+        # pd4g writes only preset 6; the chunks are recompressed at each preset
+        # a decoder must read
         n, steps = 1024, 130
         ints = np.zeros((steps, n, 2), dtype=np.int64)
         ints[0] = ints[-1] = np.random.default_rng(0).integers(-(2**31) + 1, 2**31, (n, 2))
@@ -337,7 +357,8 @@ class TestDecodePrefix:
         still, zeros = np.zeros((steps, n, 2)), np.zeros((steps, n))
         local = LocalResiduals(still, zeros, zeros, np.zeros((steps, n, 3)))
         table = DeformationTable(np.linspace(0, 1, steps), ints / 16.0, still, local)
-        blob = encode(anchors, MaskBank.all_ones(n), table, EncodeConfig(dict(DEFAULT_QUANT_STEPS), preset))
+        blob = _recompressed(encode(anchors, MaskBank.all_ones(n), table), preset)
+        assert blob[5] == preset  # the header's preset byte, after the magic and version
         assert len(_payload(blob, 1)) == manifest(blob).chunks[1].raw_length > 2**20
         assert np.array_equal(decode_prefix(blob).deformations.displacements, table.displacements)
 
@@ -413,6 +434,17 @@ def _payload(blob: bytes, layer: int) -> bytes:
     return lzma.decompress(blob[bounds[layer] : bounds[layer + 1]], format=lzma.FORMAT_RAW, filters=_FILTERS)
 
 
+def _recompressed(blob: bytes, preset: int) -> bytes:
+    """``blob`` with its chunks recompressed at ``preset``, and its preset byte, chunk table and CRC to match."""
+    man = manifest(blob)
+    comps = [compress_chunk(_payload(blob, layer), preset) for layer in range(len(man.chunks))]
+    head = bytearray(blob[: man.header_bytes])
+    head[5] = preset
+    for layer, comp in enumerate(comps):  # each entry's compressed length follows its layer byte and raw length
+        struct.pack_into("<Q", head, HEADER.size + CHUNK_ENTRY.size * layer + 9, len(comp))
+    return _reseal(head) + b"".join(comps)
+
+
 def _rewrite_chunk(blob: bytes, layer: int, offset: int, fmt: str, *values, tail=b"", keep=None) -> bytes:
     """Patch one chunk's decompressed payload, cut it to ``keep`` bytes and append ``tail``.
 
@@ -462,6 +494,9 @@ MALFORMED = {
     "signaling NaN opacity": (0, _OPACITIES_0 + 4, "<I", _SIGNALING_NAN),
     "signaling NaN color": (0, _OPACITIES_0 + 4 * 4 + 5 * 4, "<I", _SIGNALING_NAN),
     "negative scale index": (0, _SCALES_0, "<b", -1),
+    # the decoded masks of the anchors a layer carries must lie in (0.01, 1]
+    "layer-0 mask int 0": (0, _MASKS_0 + 1, "<h", 0),
+    "layer-0 mask int 257": (0, _MASKS_0 + 1 + 2 * 3, "<h", 257),
     "reversed timesteps": (1, 0, "<2d", 1.0, 0.0),
     "NaN timestep": (1, 8, "<d", float("nan")),
 }
@@ -503,6 +538,13 @@ class TestMalformedPayload:
         )
         for name, want in expected.items():
             assert np.array_equal(getattr(decoded.anchors, name), want), name
+
+    def test_layers_carrying_no_anchor_decode(self):
+        scene = make_scene("motion-dense", 8, 2, seed=1, image_size=(8, 8), feature_dim=2)
+        bank = MaskBank(levels=(_members(0, 1), _members(), _members()))
+        decoded = decode_prefix(encode(scene.anchors, bank, scene.deformations))
+        assert decoded.max_level == 2 and decoded.anchor_indices.tolist() == [0, 1]
+        assert not decoded.bank.level(1).any() and not decoded.bank.level(2).any()
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_empty_base_layer_rejected(self, level):
@@ -570,6 +612,7 @@ class TestDecoderContract:
     @given(blob=_mutated_containers())
     @example(blob=_empty_base_container())
     @example(blob=_rewrite_chunk(_layout_container(), *MALFORMED["signaling NaN opacity"]))
+    @example(blob=_rewrite_chunk(_layout_container(), *MALFORMED["layer-0 mask int 257"]))
     def test_input_decodes_or_raises_a_declared_error(self, blob):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -233,6 +234,19 @@ class TestSimulate:
             "label,size_mb,latency_2mbps_s,latency_10mbps_s,latency_50mbps_s\n"
             "asset.pd4g,0.000592,0.00,0.00,0.00\n"
         )
+
+    def test_latency_csv_reads_back_with_a_comma_in_the_name(self, trained_dir, tmp_path, capsys):
+        _, out = trained_dir
+        container = tmp_path / "a,b.pd4g"
+        container.write_bytes((out / "asset.pd4g").read_bytes())
+        trace = tmp_path / "trace.csv"
+        trace.write_text("10,2\n")
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", str(container), str(trace), "--out", str(sim_out)]) == EXIT_OK
+        with open(sim_out / "latency.csv", newline="") as f:
+            header, row = csv.reader(f)
+        assert len(header) == len(row) == 5
+        assert row[0] == "a,b.pd4g"
 
     def test_zero_throughput_is_distinct_from_errors(self, trained_dir, tmp_path, capsys):
         _, out = trained_dir

@@ -1,7 +1,9 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 import re
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -160,13 +162,23 @@ class TestDefaults:
                     pytest.fail(f"{where} calls {callee.__qualname__}: {exc}")
                 checked.add(callee.__qualname__)
         assert {"train_masks", "make_scene", "RolloutConfig", "EncodeConfig", "MaskBank", "encode"} <= checked
-        # train_masks accepts the threshold the benchmark passes
-        cfg = RunConfig(anchor_count=4, timestep_count=1, image_width=8, image_height=8)
-        schedule = dict(steps=0, seed=0, learning_rate=cfg.learning_rate, progressive_start=0)
-        bank, _ = toyscene.train_masks(
-            cfg.make_scene(), cfg.loss_weights(), cfg.rollout_config(), threshold=RunConfig.mask_threshold, **schedule
-        )
-        assert bank.threshold == RunConfig.mask_threshold
+
+    def test_benchmark_values_are_accepted(self, monkeypatch):
+        # signatures aside, pd4g refuses all but the published steps, preset, end point,
+        # EMA rate and cut: build every workload's inputs, which constructs the configs the
+        # benchmark passes, and train for 0 steps with each keyword its Training carries
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+        spec.loader.exec_module(workloads)
+        assert set(workloads.WORKLOADS) == {"train-motion-dense", "codec-stress", "trace-replay"}
+        for name in workloads.WORKLOADS:
+            inputs = workloads.build_inputs(name, 0)
+            if inputs.training is not None:
+                t = inputs.training
+                keywords = {f.name: getattr(t, f.name) for f in fields(t)}
+                bank, report = toyscene.train_masks(inputs.scene(0), **{**keywords, "steps": 0, "seed": 0})
+                assert report.steps == 0 and bank.threshold == t.threshold
 
     def test_benchmark_traced_functions_exist(self):
         # perfbench/tracing.py replaces each (module, attribute) of _FUNCTIONS in the module's namespace

@@ -1,5 +1,7 @@
+import csv
 import fractions
 import hashlib
+import io
 import json
 import math
 import random
@@ -592,6 +594,13 @@ class TestLatencyTable:
         assert lines[0] == "label,size_mb,latency_2mbps_s,latency_10mbps_s,latency_50mbps_s"
         assert lines[1].startswith("big,232.4,929.60,")
         assert lines[2].endswith("1.74,0.35,0.07")
+
+    def test_csv_quotes_labels_and_reads_back(self):
+        labels = ["run/a,b.pd4g", 'say "hi"', "plain"]
+        rows = latency_table([1.0, 2.0, 3.0], [2, 10], labels=labels)
+        parsed = list(csv.reader(io.StringIO(latency_table_csv(rows, [2, 10]))))
+        assert [row[0] for row in parsed] == ["label", *labels]
+        assert [len(row) for row in parsed] == [4] * 4
 
     def test_manifest_entries_use_total_size(self):
         anchors, bank, table = random_asset(np.random.default_rng(4))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pd4g import entropy, toyscene
 from pd4g.acceptance import _fd_gradient, _rel_err
 from pd4g.asset import AnchorSet, DeformationTable, LocalResiduals, MaskBank, MissingLayerError
+from pd4g.bitstream import DEFAULT_QUANT_STEPS
 from pd4g.config import load_config
 from pd4g.losses import LossWeights
 from pd4g.rollout import RolloutConfig
@@ -323,6 +324,15 @@ class TestTrainMasks:
         kwargs = dict(steps=0, seed=1, learning_rate=0.4, progressive_start=400)
         with pytest.raises(ValueError, match="threshold"):
             train_masks(small_scene, LossWeights(), RolloutConfig(), threshold=0.02, **kwargs)
+
+    def test_quant_steps_are_fixed(self, small_scene):
+        # the rate model prices the steps the coder writes, and no others
+        kwargs = dict(steps=0, seed=1, learning_rate=0.4, progressive_start=400)
+        coarse = {**DEFAULT_QUANT_STEPS, "feature": 0.5}
+        with pytest.raises(ValueError, match="quant steps are fixed"):
+            train_masks(small_scene, LossWeights(), RolloutConfig(), quant_steps=coarse, **kwargs)
+        for steps in (None, dict(DEFAULT_QUANT_STEPS)):
+            train_masks(small_scene, LossWeights(), RolloutConfig(), quant_steps=steps, **kwargs)
 
     def test_deterministic_given_seed(self, small_scene):
         cfg = RolloutConfig(sample_period=10, warmup_steps=20)
