@@ -35,6 +35,7 @@ CHUNK_ENTRY = struct.Struct("<BQQI")
 HEADER_CRC = struct.Struct("<I")
 DEFAULT_PRESET = 6
 DICT_SIZE = 2**20  # every chunk's LZMA2 dictionary, whatever the preset
+_DECODE_FILTERS = [{"id": lzma.FILTER_LZMA2, "dict_size": DICT_SIZE}]  # FORMAT.md's decoder chain, for every preset
 INT_WIDTHS = (1, 2, 4)
 MAX_FEATURE_DIM = 0xFFFF  # the header's u16 field F
 
@@ -176,7 +177,7 @@ def pack_ints(values: np.ndarray) -> bytes:
 
 
 def _filters(preset: int) -> list[dict]:
-    """The LZMA2 filter chain of every chunk: the preset's settings with the fixed dictionary size."""
+    """The LZMA2 filter chain chunks are compressed with: the preset's settings with the fixed dictionary size."""
     return [{"id": lzma.FILTER_LZMA2, "preset": preset, "dict_size": DICT_SIZE}]
 
 
@@ -302,7 +303,6 @@ def _parse_header(data: bytes):
         if info.layer != i:
             raise FormatError(f"chunk {i} labeled layer {info.layer}; layers must start at 0 and ascend")
     return {
-        "preset": preset,
         "dim": dim,
         "count": count,
         "feature_dim": feature_dim,
@@ -424,7 +424,7 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
     payloads = []
     for info, extent in _complete_chunks(data, h):
         # one byte past the declared length tells a long stream from an exact one
-        decompressor = lzma.LZMADecompressor(format=lzma.FORMAT_RAW, filters=_filters(h["preset"]))
+        decompressor = lzma.LZMADecompressor(format=lzma.FORMAT_RAW, filters=_DECODE_FILTERS)
         try:
             raw = decompressor.decompress(data[extent], max_length=min(info.raw_length + 1, sys.maxsize))
         except lzma.LZMAError as exc:

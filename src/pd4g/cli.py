@@ -8,6 +8,7 @@ byte-identical primary outputs. Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import replace
@@ -218,7 +219,10 @@ def cmd_latency_table(args) -> int:
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        parts = [p.strip() for p in body.split(",")]
+        try:  # a label may be quoted, as latency tables write one holding a comma or quote
+            parts = [p.strip() for p in next(csv.reader([body]))]
+        except csv.Error as exc:
+            raise _CliError(EXIT_VALIDATION, f"line {number}: {exc}") from exc
         if len(parts) != 2:
             raise _CliError(EXIT_VALIDATION, f"line {number}: expected 'label,size_mb'")
         try:

@@ -20,13 +20,15 @@ the language of Python 3.11's ``Fraction(str)``: an optional sign, digits with
 ``_`` separators, then either ``/denominator`` or an optional ``.fraction``
 and ``e``/``E`` exponent, with whitespace around the field. The one
 difference is that it refuses a decimal exponent beyond ``MAX_EXPONENT`` in
-magnitude before building any power of ten. ``from_csv`` reads each distinct
-field text of a column once per call, reduces it with one ``gcd`` and reuses
-that ratio on later lines; it keeps nothing between calls.
+magnitude before building any power of ten.
 
-A trace whose common duration denominator, or common rate denominator, has
-more than ``MAX_DENOMINATOR_DIGITS`` decimal digits is refused when it is
-built, as the integral's integers grow with those digits.
+``BandwidthTrace(segments)`` is the one constructor, and ``from_csv`` feeds
+it a file's lines one at a time. Per call, it reads each distinct value of a
+column once, reduces it with one ``gcd`` and reuses that checked ratio on
+later segments. Segments are checked in order, so the first faulty one is
+reported. A trace whose common duration, or rate, denominator has more than
+``MAX_DENOMINATOR_DIGITS`` decimal digits is refused when it is built, as the
+integral's integers grow with those digits.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .bitstream import LayerManifest
 
@@ -124,45 +126,19 @@ def _parse_ratio(field: str) -> tuple[int, int]:
     return (-numerator if sign == "-" else numerator), denominator
 
 
-def _reduced(ratio: tuple[int, int]) -> tuple[int, int]:
-    numerator, denominator = ratio
-    common = math.gcd(numerator, denominator)
-    return numerator // common, denominator // common
-
-
 def _ratio(value) -> tuple[int, int]:
     """Reduced (numerator, positive denominator): strings through ``_parse_ratio``, other values through ``Fraction``.
 
     Raises ``ValueError`` naming an infinite or NaN value, which has no ratio.
     """
     if isinstance(value, str):
-        return _reduced(_parse_ratio(value))
+        numerator, denominator = _parse_ratio(value)
+        common = math.gcd(numerator, denominator)
+        return numerator // common, denominator // common
     try:
         return Fraction(value).as_integer_ratio()
     except (OverflowError, ValueError):  # what ``Fraction`` raises for an infinity and for a NaN
         raise ValueError(f"trace numbers must be finite, got {value!r}") from None
-
-
-def _segment(duration: tuple[int, int], mbps: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """One validated segment as (seconds, Mbps) ratios, each a (numerator, positive denominator) pair."""
-    if duration[0] <= 0:
-        raise ValueError("segment durations must be positive")
-    if mbps[0] < 0:
-        raise ValueError("throughput cannot be negative")
-    return duration, mbps
-
-
-def _check_common_denominators(per_s: int, per_mbps: int) -> None:
-    """Refuse common denominators of more than ``MAX_DENOMINATOR_DIGITS`` digits.
-
-    The integral counts time and bytes in units of these denominators, so
-    its integers grow with their digits: without the bound, a few hundred
-    kilobytes of distinct duration denominators keep ``simulate`` busy for
-    minutes.
-    """
-    for column, common in (("duration", per_s), ("rate", per_mbps)):
-        if common >= _DENOMINATOR_LIMIT:
-            raise ValueError(f"common {column} denominator has more than {MAX_DENOMINATOR_DIGITS} digits")
 
 
 class _Integral(NamedTuple):
@@ -196,16 +172,36 @@ class BandwidthTrace:
     per_s: int = field(compare=False, repr=False)  # the lcm of the duration denominators
     per_mbps: int = field(compare=False, repr=False)  # the lcm of the rate denominators
 
-    def __init__(self, segments: Sequence[tuple[object, object]]):
-        """``segments`` holds (seconds, Mbps) pairs of numbers or of strings read by ``_parse_ratio``."""
-        if not segments:
+    def __init__(self, segments: Iterable[tuple[object, object]]):
+        """``segments`` holds (seconds, Mbps) pairs of numbers or of strings read by ``_parse_ratio``.
+
+        Each segment is checked before the next is drawn, and a value met
+        earlier in the same column reuses its checked ratio. The segment at
+        which a common denominator first reaches ``MAX_DENOMINATOR_DIGITS``
+        digits is refused: without the bound, a few hundred kilobytes of
+        distinct duration denominators keep ``simulate`` busy for minutes.
+        """
+        ratios = []
+        durations, rates = {}, {}  # value -> checked ratio, per column and for this call only
+        per_s = per_mbps = 1  # the lcm of the duration and of the rate denominators so far
+        for d, m in segments:
+            duration, mbps = durations.get(d), rates.get(m)
+            if duration is None or mbps is None:
+                duration = _ratio(d) if duration is None else duration
+                mbps = _ratio(m) if mbps is None else mbps
+                if duration[0] <= 0:
+                    raise ValueError("segment durations must be positive")
+                if mbps[0] < 0:
+                    raise ValueError("throughput cannot be negative")
+                per_s, per_mbps = math.lcm(per_s, duration[1]), math.lcm(per_mbps, mbps[1])
+                if per_s >= _DENOMINATOR_LIMIT or per_mbps >= _DENOMINATOR_LIMIT:
+                    column = "duration" if per_s >= _DENOMINATOR_LIMIT else "rate"
+                    raise ValueError(f"common {column} denominator has more than {MAX_DENOMINATOR_DIGITS} digits")
+                durations[d], rates[m] = duration, mbps
+            ratios.append((duration, mbps))
+        if not ratios:
             raise ValueError("trace requires at least one segment")
-        ratios = tuple(_segment(_ratio(d), _ratio(m)) for d, m in segments)
-        per_s = per_mbps = 1
-        for (_, q), (_, r) in ratios:
-            per_s, per_mbps = math.lcm(per_s, q), math.lcm(per_mbps, r)
-            _check_common_denominators(per_s, per_mbps)
-        self.__dict__.update(ratios=ratios, per_s=per_s, per_mbps=per_mbps)
+        self.__dict__.update(ratios=tuple(ratios), per_s=per_s, per_mbps=per_mbps)
 
     @cached_property
     def segments(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -213,8 +209,9 @@ class BandwidthTrace:
         return tuple((Fraction(*d), Fraction(*m)) for d, m in self.ratios)
 
     @staticmethod
-    def constant(mbps, duration=Fraction(10**9)) -> "BandwidthTrace":
-        return BandwidthTrace(segments=((duration, mbps),))
+    def constant(mbps) -> "BandwidthTrace":
+        """A 10**9 s segment at ``mbps``."""
+        return BandwidthTrace(segments=((10**9, mbps),))
 
     @staticmethod
     def from_csv(text: str) -> "BandwidthTrace":
@@ -224,43 +221,32 @@ class BandwidthTrace:
         (``1/3``) or decimal with an optional exponent (``1.5``, ``.5``,
         ``2e-3``), with whitespace allowed around it: the language of
         Python 3.11's ``Fraction(str)``, except that the decimal exponent must
-        be at most ``MAX_EXPONENT`` in magnitude. The line at which the common
-        duration or rate denominator first passes ``MAX_DENOMINATOR_DIGITS``
-        digits is refused.
+        be at most ``MAX_EXPONENT`` in magnitude. Lines go to ``BandwidthTrace``
+        one at a time, so each distinct field text of a column is read once,
+        and the first faulty line (malformed, a bad number, or where a common
+        denominator first passes ``MAX_DENOMINATOR_DIGITS`` digits) is reported.
         """
-        ratios = []
-        # field text -> reduced ratio, per column and for this call only: a text
-        # found here was parsed and checked for its column on an earlier line
-        durations, rates = {}, {}
-        per_s = per_mbps = 1  # the lcm of the duration and of the rate denominators read so far
-        for number, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split(",")
-            if len(parts) != 2:
-                raise TraceParseError(number, f"expected 'duration_s,mbps', got {line!r}")
-            duration_text, mbps_text = parts
-            duration = durations.get(duration_text)
-            mbps = rates.get(mbps_text)
-            if duration is None or mbps is None:
-                try:
-                    duration, mbps = _segment(
-                        _reduced(_parse_ratio(duration_text)) if duration is None else duration,
-                        _reduced(_parse_ratio(mbps_text)) if mbps is None else mbps,
-                    )
-                    per_s, per_mbps = math.lcm(per_s, duration[1]), math.lcm(per_mbps, mbps[1])
-                    if per_s >= _DENOMINATOR_LIMIT or per_mbps >= _DENOMINATOR_LIMIT:
-                        _check_common_denominators(per_s, per_mbps)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise TraceParseError(number, f"{exc} in {line!r}") from exc
-                durations[duration_text], rates[mbps_text] = duration, mbps
-            ratios.append((duration, mbps))
-        if not ratios:
-            raise TraceParseError(0, "trace file holds no segments")
-        trace = object.__new__(BandwidthTrace)  # the ratios are validated and reduced already
-        trace.__dict__.update(ratios=tuple(ratios), per_s=per_s, per_mbps=per_mbps)
-        return trace
+        number, line = 0, ""  # the line being read; number is 0 once every line is read
+
+        def fields():
+            nonlocal number, line
+            for number, line in enumerate(text.splitlines(), start=1):
+                body = line.split("#", 1)[0].strip()
+                if body:
+                    parts = body.split(",")
+                    if len(parts) != 2:
+                        raise TraceParseError(number, f"expected 'duration_s,mbps', got {line!r}")
+                    yield parts
+            number = 0
+
+        try:
+            return BandwidthTrace(fields())
+        except TraceParseError:
+            raise
+        except (ValueError, ZeroDivisionError) as exc:
+            if not number:  # no line was left to blame: none held a segment
+                raise TraceParseError(0, "trace file holds no segments") from None
+            raise TraceParseError(number, f"{exc} in {line!r}") from exc
 
     @cached_property
     def _integral(self) -> _Integral:

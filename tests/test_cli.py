@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -318,6 +319,21 @@ class TestLatencyTable:
         assert default.startswith("label,size_mb,latency_2mbps_s,latency_10mbps_s,latency_50mbps_s\n")
         assert main(["latency-table", "--sizes", str(sizes), "--bandwidths", "2,10,50"]) == EXIT_OK
         assert capsys.readouterr().out == default
+
+    def test_quoted_label_is_read(self, tmp_path, capsys):
+        # the quoting latency tables write for a label holding a comma or a quote
+        sizes = tmp_path / "sizes.csv"
+        sizes.write_text('"a,b",1.0\n"say ""hi""",2 # note\n')
+        assert main(["latency-table", "--sizes", str(sizes), "--bandwidths", "2"]) == EXIT_OK
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[1:] == [["a,b", "1", "4.00"], ['say "hi"', "2", "8.00"]]
+
+    def test_field_beyond_the_csv_limit_is_validation_error(self, tmp_path, capsys):
+        sizes = tmp_path / "sizes.csv"
+        sizes.write_text("model,1.0\n" + "x" * (csv.field_size_limit() + 1) + ",1.0\n")
+        assert main(["latency-table", "--sizes", str(sizes)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "line 2: field larger than field limit" in captured.err and captured.out == ""
 
     def test_non_utf8_sizes_is_validation_error(self, tmp_path, capsys):
         sizes = tmp_path / "sizes.csv"

@@ -25,7 +25,6 @@ from pd4g.stream import (
     BandwidthTrace,
     TraceParseError,
     _parse_ratio,
-    _segment,
     emit_abr_manifest,
     first_frame_latency,
     latency_table,
@@ -211,7 +210,11 @@ def _reference_from_csv(text: str):
         if len(parts) != 2:
             return TraceParseError(number, f"expected 'duration_s,mbps', got {line!r}")
         try:
-            duration, mbps = _segment(_parse_ratio(parts[0]), _parse_ratio(parts[1]))
+            duration, mbps = _parse_ratio(parts[0]), _parse_ratio(parts[1])
+            if duration[0] <= 0:
+                raise ValueError("segment durations must be positive")
+            if mbps[0] < 0:
+                raise ValueError("throughput cannot be negative")
             segments.append((Fraction(*duration), Fraction(*mbps)))
         except (ValueError, ZeroDivisionError) as exc:
             return TraceParseError(number, f"{exc} in {line!r}")
@@ -466,7 +469,6 @@ class TestTraceParsing:
             lambda: BandwidthTrace(segments=((bad, 8),)),
             lambda: BandwidthTrace(segments=((1, 8), (1, bad))),
             lambda: BandwidthTrace.constant(bad),
-            lambda: BandwidthTrace.constant(8, duration=bad),
         )
         for build in builds:
             with pytest.raises(ValueError, match=f"must be finite, got {re.escape(repr(bad))}"):
@@ -501,6 +503,9 @@ class TestTraceParsing:
     @example("1,0\n0,8\n")
     @example("-1,abc")
     @example("8,1\n1,8\n8,-1\n")
+    @example("abc,1\n8\n")
+    @example("1,8\n# c\n\n1/0,8\n")
+    @example("1,8\n1,-8\n")
     def test_parser_matches_per_line_reference(self, text):
         want = _reference_from_csv(text)
         try:
