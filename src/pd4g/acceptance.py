@@ -329,10 +329,9 @@ def criterion_prefix_decodability(containers: int = 20) -> tuple[bool, str]:
     """Every chunk-boundary truncation decodes; full round trip is exact."""
     rng = np.random.default_rng(42)
     q = dict(bitstream.DEFAULT_QUANT_STEPS)
-    cfg = bitstream.EncodeConfig(quant_steps=q)
     for case in range(containers):
         anchors, bank, table = random_asset(rng)
-        blob = bitstream.encode(anchors, bank, table, cfg)
+        blob = bitstream.encode(anchors, bank, table)
         man = bitstream.manifest(blob)
         boundaries = man.cumulative_sizes
         for level, boundary in enumerate(boundaries):

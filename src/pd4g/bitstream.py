@@ -26,7 +26,7 @@ from .asset import MASK_THRESHOLD, AnchorSet, DeformationTable, LocalResiduals, 
 from .entropy import quantize_array
 
 MAGIC = b"PD4G"
-VERSION = 2
+VERSION = 3
 # FORMAT.md's fixed layout: magic, version, preset, flags, dim, N, F, T, the
 # six quant steps and the chunk count; per chunk its layer, raw and compressed
 # lengths and payload CRC32; then the CRC32 of all of that
@@ -202,13 +202,12 @@ def encode(
 ) -> bytes:
     """Serialize an asset into the layered container format.
 
-    The base chunk carries the level-0 active anchors' quantized attributes
-    plus raw colors/opacities; the global chunk carries timesteps and the
-    global table rows of level-1 active anchors; the refinement chunk carries
-    the local residual rows of level-2 active anchors. Anchors active above
-    the base level but pruned from it travel as supplemental records inside
-    the higher chunk. Output is byte-identical for identical inputs. A
-    ``config`` can hold only the published steps and preset, which are written.
+    Every chunk lists the anchors active at its level and their masks; the
+    global chunk adds timesteps and the global table rows, the refinement
+    chunk the local residual rows. Each anchor's quantized attributes and raw
+    color and opacity travel once, in the lowest chunk that lists it. Output
+    is byte-identical for identical inputs. A ``config`` can hold only the
+    published steps and preset, which are written.
     """
     q = DEFAULT_QUANT_STEPS
     if deformations.count != anchors.count or bank.count != anchors.count:
@@ -235,27 +234,27 @@ def encode(
     if act[0].size == 0:
         raise EmptyBaseLayerError("no anchor exceeds the base-layer mask threshold")
 
+    sent = np.zeros(anchors.count, dtype=bool)  # anchors whose record a lower layer carries
     chunks: list[bytes] = []
     for level, idx in enumerate(act):
-        # layer 0 carries a record for each member; higher layers refer to the
-        # records layer 0 carries and add supplemental records for the rest
-        in_base = np.isin(idx, act[0]) if level else np.zeros(idx.size, dtype=bool)
-        shared, supp = idx[in_base], idx[~in_base]
+        # each layer lists its members and carries a record for each member
+        # that no lower layer lists
+        new = idx[~sent[idx]]
+        sent[idx] = True
         records = [
-            quantize_array(anchors.positions[supp], q["position"]),
-            quantize_array(anchors.features[supp], q["feature"]),
-            quantize_array(anchors.scales[supp], q["scale"]),
-            quantize_array(anchors.offsets[supp], q["offset"]),
+            quantize_array(anchors.positions[new], q["position"]),
+            quantize_array(anchors.features[new], q["feature"]),
+            quantize_array(anchors.scales[new], q["scale"]),
+            quantize_array(anchors.offsets[new], q["offset"]),
         ]
         ints = [
             quantize_array(bank.level(level)[idx], q["mask"]),
             *(quantize_array(t[:, idx], q["deform"]) for t in _level_tables(deformations, level)),
         ]
-        counts = [supp.size] if level == 0 else [shared.size, supp.size]
         body = [_pack(deformations.timesteps, "<f8")] if level == 1 else []
-        body += [_pack(counts, "<u4"), _pack(np.searchsorted(act[0], shared), "<u4"), _pack(supp, "<u4")]
+        body += [_pack([idx.size], "<u4"), _pack(idx, "<u4")]
         body += [pack_ints(a) for a in records]
-        body += [_pack(anchors.opacities[supp], "<f4"), _pack(anchors.colors[supp], "<f4")]
+        body += [_pack(anchors.opacities[new], "<f4"), _pack(anchors.colors[new], "<f4")]
         body += [pack_ints(a) for a in ints]
         chunks.append(b"".join(body))
 
@@ -411,11 +410,13 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
     one of FORMAT.md's payload rules, an empty layer 0 among them, raises
     ``FormatError``.
 
-    Small prefixes cost little beyond their LZMA work: each layer's anchor
-    records stay quantized ints until the union has picked one record per
-    anchor, and each field is then scaled in one multiply. When no layer
-    above the base supplements an anchor, a base-only prefix among them, the
-    union is the base layer's anchors in their stored order, with no sort.
+    Each anchor's record is read from the lowest layer that lists it; a
+    higher layer that lists the anchor again reads no record for it, so no
+    anchor can have two. Small prefixes cost little beyond their LZMA work:
+    the records stay quantized ints until the union is formed, and each field
+    is then scaled in one multiply. When only layer 0 carries records, a
+    base-only prefix among them, the union is layer 0's members in their
+    stored order, with no sort.
     """
     h = _parse_header(data)
     dim, fdim, q = h["dim"], h["feature_dim"], h["quant"]
@@ -445,33 +446,25 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
         r = _Reader(raw)
         if level == 1:
             timesteps = r.take("<f8", step_count)
-        if level == 0:
-            n_shared, n_supp = 0, int(r.take("<u4", 1)[0])
-            if n_supp == 0:
-                raise FormatError("layer 0 carries no anchor")
-        else:
-            n_shared, n_supp = (int(c) for c in r.take("<u4", 2))
-        refs = r.take("<u4", n_shared).astype(np.int64)
-        supp = r.take("<u4", n_supp).astype(np.int64)
-        _check_indices(supp, h["count"], f"layer {level} anchor indices")
-        if level == 0:
-            base = members = supp
-        else:
-            _check_indices(refs, base.size, f"layer {level} refs")
-            # base ascends strictly and is not empty: each supplemental index is
-            # a base index exactly when it equals the base entry it bisects to
-            if (base.take(np.searchsorted(base, supp), mode="clip") == supp).any():
-                raise FormatError(f"layer {level} supplements an anchor that layer 0 carries")
-            members = np.sort(np.concatenate([base[refs], supp]))
-        carried.append(supp)
+        members = r.take("<u4", int(r.take("<u4", 1)[0])).astype(np.int64)
+        _check_indices(members, h["count"], f"layer {level} anchor indices")
+        if level == 0 and members.size == 0:
+            raise FormatError("layer 0 carries no anchor")
+        # a layer carries the record of each member that no lower layer lists; a lower
+        # layer's members ascend strictly, so a member is among them when it equals its bisection
+        new = members
+        for lower, _, _ in level_rows:
+            if lower.size:
+                new = new[lower.take(np.searchsorted(lower, new), mode="clip") != new]
+        carried.append(new)
         # the quantized fields stay ints here and are scaled once, in the union
         block = (
-            r.ints(n_supp, dim),
-            r.ints(n_supp, fdim),
-            r.ints(n_supp),
-            r.ints(n_supp, dim),
-            r.take("<f4", n_supp),
-            r.take("<f4", n_supp, 3),
+            r.ints(new.size, dim),
+            r.ints(new.size, fdim),
+            r.ints(new.size),
+            r.ints(new.size, dim),
+            r.take("<f4", new.size),
+            r.take("<f4", new.size, 3),
         )
         records.append(block)
         masks = r.ints(members.size) * q["mask"]
@@ -482,12 +475,14 @@ def decode_prefix(data: bytes) -> DecodedPrefix:
             raise FormatError(f"layer {level} chunk payload has bytes after its last array")
         level_rows.append((members, masks, tables))
 
-    if not any(supp.size for supp in carried[1:]):  # the union is the base, which ascends strictly
-        union, fields = base, records[0]
+    if not any(new.size for new in carried[1:]):  # the union is layer 0's members, which ascend strictly
+        union, fields = carried[0], records[0]
     else:
-        # the union in ascending order; a repeated supplemental record keeps its first copy
-        union, first = np.unique(np.concatenate(carried), return_index=True)
-        fields = [np.concatenate(field)[first] for field in zip(*records)]
+        # the carried sets are disjoint, so sorting them together gives the union
+        every = np.concatenate(carried)
+        order = every.argsort()
+        union = every[order]
+        fields = [np.concatenate(field)[order] for field in zip(*records)]
     n = union.size
     max_level = payloads[-1][0].layer
     bank_levels = [np.zeros(n) for _ in range(3)]

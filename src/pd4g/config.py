@@ -128,10 +128,6 @@ class RunConfig:
             progressive_start=self.progressive_start_step,
         )
 
-    def to_text(self) -> str:
-        lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
-        return "\n".join(lines) + "\n"
-
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _PARSERS = {"int": int, "float": float, "str": str}

@@ -185,7 +185,10 @@ class BandwidthTrace:
         durations, rates = {}, {}  # value -> checked ratio, per column and for this call only
         per_s = per_mbps = 1  # the lcm of the duration and of the rate denominators so far
         for d, m in segments:
-            duration, mbps = durations.get(d), rates.get(m)
+            try:
+                duration, mbps = durations.get(d), rates.get(m)
+            except TypeError:  # a value that cannot be hashed, such as a signaling NaN: _ratio refuses it
+                duration = mbps = None
             if duration is None or mbps is None:
                 duration = _ratio(d) if duration is None else duration
                 mbps = _ratio(m) if mbps is None else mbps

@@ -1,10 +1,12 @@
 import functools
 import hashlib
 import lzma
+import re
 import struct
 import tracemalloc
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,10 +41,10 @@ def asset():
 
 
 PINNED_CONTAINERS = {
-    3: "193e045a307eb6cb7f93ca175a395d2359f09694b9bd871570b8a573270888d7",
-    7: "f9c4ec37a8bf1704c1e3cfccae2ff1e8aea45af35ccb2a7f743913e3be438b89",
-    11: "873cacc596410958139ee5d0ce97eef5c94d33f4875cf4aa0632ba6195948312",
-    "motion-dense": "269be8e26f6249ff59725929b9a0aba4dcef50b31677d5b4d4cd58b555a8215e",
+    3: "592cf3594c16729591b22c029ea1800bbd2354165cbcd3bd86e08357d7f6f666",
+    7: "8f3bf3e6e320f4d63dd783b6c725c1aba580b1be6c5b203b0b7dd4802c055858",
+    11: "1a3386dc8510d93afecda861796178f122cc16c543d4e9c06e26cc5c93266a0d",
+    "motion-dense": "47226aea736f2b1dc25a39dad3e9b09c2b6dd938f946e531b6402dd2d988f0f4",
 }
 
 
@@ -157,8 +159,8 @@ class TestEncode:
         with pytest.raises(ValueError, match="writes only"):
             EncodeConfig(quant_steps=dict(steps), preset=preset)
 
-    # sha256 of the container bytes, recorded when container version 2 packed
-    # each int array at its own width: a given asset and config always encode the same
+    # sha256 of the container bytes, recorded when container version 3 gave
+    # every layer one layout: a given asset and config always encode the same
     @pytest.mark.parametrize("source", PINNED_CONTAINERS)
     def test_container_bytes_are_pinned(self, source):
         assert hashlib.sha256(_pinned_container(source)).hexdigest() == PINNED_CONTAINERS[source]
@@ -399,8 +401,9 @@ class TestDecodePrefix:
 def _layout_container() -> bytes:
     """Eight anchors (D=2, F=2, T=2) whose payloads have the offsets in ``MALFORMED``.
 
-    Layer 0 carries anchors 0-3; layer 1 refers to 0 and 1 and supplements
-    4 and 5; layer 2 refers to 0 and 2 and supplements 4, 6 and 7.
+    Layer 0 lists anchors 0-3 and carries their records; layer 1 lists 0, 1,
+    4 and 5 and carries the records of 4 and 5; layer 2 lists 0, 2, 4, 6 and
+    7 and carries the records of 6 and 7.
     """
     scene = make_scene("motion-dense", 8, 2, seed=1, image_size=(8, 8), feature_dim=2)
     bank = MaskBank(
@@ -463,43 +466,75 @@ def _rewrite_chunk(blob: bytes, layer: int, offset: int, fmt: str, *values, tail
 
 
 # Byte offsets in the layout container's decompressed payloads (FORMAT.md):
-# layer 0 is n0 (u32) and 4 indices (u32), then positions (8), features (8),
-# scales (4) and offsets (8), each a width byte of 1 and 1-byte ints, then
+# layer 0 is n (u32) and 4 member indices (u32), then positions (8), features
+# (8), scales (4) and offsets (8), each a width byte of 1 and 1-byte ints, then
 # 4 f32 opacities, 12 f32 colors and 4 masks behind a width byte of 2;
-# layer 1 starts with 2 f64 timesteps, then the two counts, 2 refs and 2
-# supplemental indices; layer 2 starts with the counts, 2 refs and 3
-# supplemental indices.
+# layer 1 starts with 2 f64 timesteps, then n and 4 member indices; layer 2
+# starts with n and 5 member indices.
 _INDICES_0 = 4
 _POSITIONS_0 = _INDICES_0 + 4 * 4  # the width byte
 _SCALES_0 = _POSITIONS_0 + (1 + 8) + (1 + 8) + 1
 _OPACITIES_0 = _SCALES_0 + 4 + (1 + 8)
 _MASKS_0 = _OPACITIES_0 + 4 * (4 + 12)
-_SUPP_1 = 16 + 8 + 2 * 4
+_MEMBERS_1 = 16 + 4
+_MEMBERS_2 = 4
 _SIGNALING_NAN = 0x7FA00000  # float32 bits
-_REFS_2, _SUPP_2 = 8, 8 + 2 * 4
 
+# case -> (the rewrite: layer, offset, struct format, values), and the message it must raise
 MALFORMED = {
-    "base index beyond anchor count": (0, _INDICES_0 + 3 * 4, "<I", 10**6),
-    "duplicated base index": (0, _INDICES_0 + 2 * 4, "<I", 1),
-    "supplemental index beyond anchor count": (2, _SUPP_2 + 2 * 4, "<I", 10**6),
-    "supplemental indices out of order": (1, _SUPP_1, "<2I", 5, 4),
-    "supplemental index also in layer 0": (1, _SUPP_1, "<I", 3),  # the last base index
-    "supplemental index equal to the first base index": (1, _SUPP_1, "<I", 0),
-    "layer-2 supplemental index equal to the last base index": (2, _SUPP_2, "<I", 3),
-    "supplemental index equal to an inner base index": (2, _SUPP_2, "<I", 2),
-    "refs out of order": (2, _REFS_2, "<2I", 2, 0),
-    "opacity 2.0": (0, _OPACITIES_0, "<f", 2.0),
-    "NaN opacity": (0, _OPACITIES_0 + 4, "<f", float("nan")),
+    "base index beyond anchor count": ((0, _INDICES_0 + 3 * 4, "<I", 10**6), "layer 0 anchor indices must ascend"),
+    "duplicated base index": ((0, _INDICES_0 + 2 * 4, "<I", 1), "layer 0 anchor indices must ascend"),
+    "layer-1 member indices out of order": ((1, _MEMBERS_1 + 2 * 4, "<2I", 5, 4), "layer 1 anchor indices must ascend"),
+    "layer-1 member index duplicated": ((1, _MEMBERS_1 + 4, "<I", 0), "layer 1 anchor indices must ascend"),
+    "layer-1 member index equal to the anchor count": (
+        (1, _MEMBERS_1 + 3 * 4, "<I", 8),
+        "layer 1 anchor indices must ascend strictly and stay below 8",
+    ),
+    "layer-2 member indices out of order": ((2, _MEMBERS_2, "<2I", 2, 0), "layer 2 anchor indices must ascend"),
+    "layer-2 member index duplicated": ((2, _MEMBERS_2 + 2 * 4, "<I", 2), "layer 2 anchor indices must ascend"),
+    "layer-2 member index beyond anchor count": (
+        (2, _MEMBERS_2 + 4 * 4, "<I", 10**6),
+        "layer 2 anchor indices must ascend strictly and stay below 8",
+    ),
+    "opacity 2.0": ((0, _OPACITIES_0, "<f", 2.0), "opacities must lie in"),
+    "NaN opacity": ((0, _OPACITIES_0 + 4, "<f", float("nan")), "opacities must lie in"),
     # a signaling NaN, written as its bits: a float32 -> float64 cast of it warns
-    "signaling NaN opacity": (0, _OPACITIES_0 + 4, "<I", _SIGNALING_NAN),
-    "signaling NaN color": (0, _OPACITIES_0 + 4 * 4 + 5 * 4, "<I", _SIGNALING_NAN),
-    "negative scale index": (0, _SCALES_0, "<b", -1),
+    "signaling NaN opacity": ((0, _OPACITIES_0 + 4, "<I", _SIGNALING_NAN), "opacities must lie in"),
+    "signaling NaN color": ((0, _OPACITIES_0 + 4 * 4 + 5 * 4, "<I", _SIGNALING_NAN), "colors must lie in"),
+    "negative scale index": ((0, _SCALES_0, "<b", -1), "scales must be non-negative"),
     # the decoded masks of the anchors a layer carries must lie in (0.01, 1]
-    "layer-0 mask int 0": (0, _MASKS_0 + 1, "<h", 0),
-    "layer-0 mask int 257": (0, _MASKS_0 + 1 + 2 * 3, "<h", 257),
-    "reversed timesteps": (1, 0, "<2d", 1.0, 0.0),
-    "NaN timestep": (1, 8, "<d", float("nan")),
+    "layer-0 mask int 0": ((0, _MASKS_0 + 1, "<h", 0), "layer 0 carries a mask outside"),
+    "layer-0 mask int 257": ((0, _MASKS_0 + 1 + 2 * 3, "<h", 257), "layer 0 carries a mask outside"),
+    "reversed timesteps": ((1, 0, "<2d", 1.0, 0.0), "timesteps must be strictly increasing"),
+    "NaN timestep": ((1, 8, "<d", float("nan")), "timesteps must lie in"),
 }
+
+
+def _layer_records(blob: bytes) -> list[tuple[list[int], int]]:
+    """Each layer's member indices and the number of anchor records it carries, read as FORMAT.md lays them out.
+
+    A layer carries a record for each member that no lower layer lists; the
+    walk over its arrays must end exactly at the payload's end.
+    """
+    dim, fdim, steps = blob[7], *struct.unpack_from("<HH", blob, 12)
+    table_widths = {0: (), 1: (dim, fdim), 2: (dim, 1, 1, 3)}
+    listed, out = set(), []
+    for layer in range(len(manifest(blob).chunks)):
+        raw = _payload(blob, layer)
+        at = 8 * steps if layer == 1 else 0
+        (n,) = struct.unpack_from("<I", raw, at)
+        members = list(struct.unpack_from(f"<{n}I", raw, at + 4))
+        at += 4 + 4 * n
+        k = len(set(members) - listed)
+        listed.update(members)
+        for count in (k * dim, k * fdim, k, k * dim):  # positions, features, scales, offsets
+            at += 1 + raw[at] * count
+        at += 4 * k + 4 * 3 * k  # opacities, colors
+        for count in (n, *(steps * n * width for width in table_widths[layer])):  # masks, then tables
+            at += 1 + raw[at] * count
+        assert at == len(raw), f"layer {layer} payload is {len(raw)} bytes, its arrays {at}"
+        out.append((members, k))
+    return out
 
 
 def _members(*indices) -> np.ndarray:
@@ -510,10 +545,10 @@ def _members(*indices) -> np.ndarray:
 
 
 def _empty_base_container() -> bytes:
-    """Eight anchors whose layer 0 carries none, while layers 1 and 2 supplement anchors 4 and 5.
+    """Eight anchors whose layer 0 lists none, while layers 1 and 2 list anchors 4 and 5.
 
     ``encode`` refuses an empty base layer, so layer 0's payload is rewritten:
-    n0 = 0, then four empty record fields and empty masks, each one width byte.
+    n = 0, then four empty record fields and empty masks, each one width byte.
     """
     scene = make_scene("motion-dense", 8, 2, seed=1, image_size=(8, 8), feature_dim=2)
     blob = encode(scene.anchors, MaskBank(levels=(_members(0), _members(4, 5), _members(4, 5))), scene.deformations)
@@ -526,13 +561,34 @@ class TestMalformedPayload:
         assert decoded.anchor_indices.tolist() == list(range(8))
         assert decoded.deformations.timesteps.tolist() == [0.0, 1.0]
 
+    def test_members_listed_below_read_no_record(self):
+        # layer 1 lists base anchors 0 and 1, and layer 2 lists base anchors 0
+        # and 2 and layer 1's anchor 4: no record follows for any of them, and
+        # each decodes to the values of the layer that carries its record
+        blob = _layout_container()
+        assert _layer_records(blob) == [([0, 1, 2, 3], 4), ([0, 1, 4, 5], 2), ([0, 2, 4, 6, 7], 2)]
+        full = decode_prefix(blob)
+        fields = ("positions", "features", "scales", "offsets", "opacities", "colors")
+        for end in manifest(blob).cumulative_sizes[:2]:
+            lower = decode_prefix(blob[:end])
+            at = np.searchsorted(full.anchor_indices, lower.anchor_indices)
+            for name in fields:
+                assert np.array_equal(getattr(full.anchors, name)[at], getattr(lower.anchors, name)), name
+        # a layer 2 that lists base anchor 1 in place of 0 still reads no record for it
+        crafted = decode_prefix(_rewrite_chunk(blob, 2, _MEMBERS_2, "<I", 1))
+        assert crafted.bank.level(2)[:2].tolist() == [0.0, full.bank.level(2)[0]]
+        for name in fields:
+            assert np.array_equal(getattr(crafted.anchors, name), getattr(full.anchors, name)), name
+
     def test_supplemental_indices_around_the_base_decode(self):
-        # layer 1 supplements 0 (below the first base index), 3 (between base
-        # indices 2 and 5) and 7 (beyond the last); layer 2 repeats 7
+        # layer 1 carries the records of 0 (below the first base index), 3
+        # (between base indices 2 and 5) and 7 (beyond the last); layer 2 lists
+        # 5 and 7 and carries no record
         scene = make_scene("motion-dense", 8, 2, seed=1, image_size=(8, 8), feature_dim=2)
         bank = MaskBank(levels=(_members(2, 5), _members(0, 3, 7), _members(5, 7)))
         decoded = decode_prefix(encode(scene.anchors, bank, scene.deformations))
         assert decoded.anchor_indices.tolist() == [0, 2, 3, 5, 7]
+        assert [k for _, k in _layer_records(encode(scene.anchors, bank, scene.deformations))] == [2, 3, 0]
         expected, _, _ = expected_reconstruction(
             scene.anchors, bank, scene.deformations, decoded.anchor_indices, DEFAULT_QUANT_STEPS
         )
@@ -554,8 +610,9 @@ class TestMalformedPayload:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_rejected_as_format_error(self, case):
-        blob = _rewrite_chunk(_layout_container(), *MALFORMED[case])
-        with warnings.catch_warnings(), pytest.raises(FormatError):
+        rewrite, message = MALFORMED[case]
+        blob = _rewrite_chunk(_layout_container(), *rewrite)
+        with warnings.catch_warnings(), pytest.raises(FormatError, match=re.escape(message)):
             warnings.simplefilter("error")
             decode_prefix(blob)
 
@@ -611,8 +668,8 @@ class TestDecoderContract:
     @settings(deadline=None, max_examples=150)
     @given(blob=_mutated_containers())
     @example(blob=_empty_base_container())
-    @example(blob=_rewrite_chunk(_layout_container(), *MALFORMED["signaling NaN opacity"]))
-    @example(blob=_rewrite_chunk(_layout_container(), *MALFORMED["layer-0 mask int 257"]))
+    @example(blob=_rewrite_chunk(_layout_container(), *MALFORMED["signaling NaN opacity"][0]))
+    @example(blob=_rewrite_chunk(_layout_container(), *MALFORMED["layer-0 mask int 257"][0]))
     def test_input_decodes_or_raises_a_declared_error(self, blob):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -782,6 +839,54 @@ def _nested_blob() -> bytes:
         mask[order[: round(share * n)]] = rng.uniform(0.6, 1.0, round(share * n))
         levels.append(mask)
     return encode(scene.anchors, MaskBank(levels=tuple(levels)), scene.deformations)
+
+
+@pytest.mark.parametrize("source", ["nested", "layout", 3, "motion-dense"])
+def test_each_anchor_record_travels_once(source):
+    blob = {"nested": _nested_blob, "layout": _layout_container}.get(source, lambda: _pinned_container(source))()
+    assert sum(k for _, k in _layer_records(blob)) == decode_prefix(blob).anchor_indices.size
+
+
+def _format_example() -> bytes:
+    """The container of FORMAT.md's hex-annotated example."""
+    anchors = AnchorSet(
+        positions=np.array([[0.25, 0.5], [-0.25, 0.75]]),
+        features=np.array([[0.125, -0.0625], [0.0, 0.5]]),
+        scales=np.array([0.5, 0.25]),
+        offsets=np.array([[0.0625, 0.0], [0.0, -0.0625]]),
+        opacities=np.array([1.0, 0.5]),
+        colors=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+    )
+    bank = MaskBank(levels=(np.array([1.0, 0.0]), np.array([1.0, 0.5]), np.array([1.0, 1.0])))
+    displacements = np.zeros((2, 2, 2))
+    displacements[1] = [[0.125, 0.0], [0.0, -0.125]]
+    local = LocalResiduals(np.zeros((2, 2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2, 3)))
+    return encode(anchors, bank, DeformationTable(np.array([0.0, 1.0]), displacements, np.zeros((2, 2, 2)), local))
+
+
+# a hex line of FORMAT.md: an optional offset label, then bytes, each followed by one space
+_HEX_LINE = re.compile(r"(?:offset 0x([0-9a-f]+):)?\s*((?:[0-9a-f]{2} )+)")
+
+
+def _format_md_hex(after: str) -> bytes:
+    """The bytes in the hex columns of the first code block after ``after`` in FORMAT.md."""
+    text = (Path(__file__).resolve().parents[1] / "FORMAT.md").read_text()
+    block = text.split(after, 1)[1].split("```", 2)[1]
+    out = bytearray()
+    for line in block.splitlines()[1:]:
+        m = _HEX_LINE.match(line + " ")
+        if m:
+            assert m[1] is None or int(m[1], 16) == len(out), line
+            out += bytes.fromhex(m[2])
+    return bytes(out)
+
+
+def test_format_example_matches_encode():
+    blob = _format_example()
+    head = _format_md_hex("## Hex-annotated example")
+    assert len(head) > manifest(blob).header_bytes and blob.startswith(head)
+    assert _payload(blob, 0) == _format_md_hex("Layer-0 payload of that example")
+    assert _payload(blob, 2) == _format_md_hex("Layer-2 payload of that example")
 
 
 def _decode_peak(prefix: bytes):

@@ -54,13 +54,13 @@ class TestTrain:
 
     def test_artifacts_pinned(self, trained_dir):
         # sha256 prefixes recorded before the config -> call wiring moved into
-        # RunConfig; asset.pd4g re-recorded for container version 2
+        # RunConfig; asset.pd4g re-recorded for container version 3
         _, out = trained_dir
         pinned = {
             "masks.json": "b940e2f9eb286079",
             "report.json": "103b358eaa5b8ce1",
             "loss_curve.csv": "0694088f1dcbaae1",
-            "asset.pd4g": "b19c8e4c585699a4",
+            "asset.pd4g": "cde578d932c24fb3",
         }
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16] for name in pinned}
         assert digests == pinned

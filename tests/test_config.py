@@ -246,7 +246,8 @@ class TestValue:
 class TestParsing:
     def test_round_trip(self):
         cfg = RunConfig(seed=7, scene_kind="static", anchor_count=32)
-        parsed = parse_config(cfg.to_text())
+        text = "".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in fields(cfg))
+        parsed = parse_config(text)
         assert parsed == cfg
 
     def test_comments_and_blanks(self):

@@ -462,7 +462,9 @@ class TestTraceParsing:
             BandwidthTrace(segments=(("1e10000000", 8),))
 
     @pytest.mark.parametrize(
-        "bad", [math.inf, -math.inf, math.nan, Decimal("Infinity"), Decimal("NaN"), np.float64(np.inf)], ids=repr
+        "bad",
+        [math.inf, -math.inf, math.nan, Decimal("Infinity"), Decimal("NaN"), Decimal("sNaN"), np.float64(np.inf)],
+        ids=repr,
     )
     def test_non_finite_numbers_rejected(self, bad):
         builds = (
