@@ -175,7 +175,7 @@ def _random_gradient_fixture(rng: np.random.Generator):
     )
     while True:
         mask = rng.uniform(0.05, 0.95, count)
-        pairs = losses.sample_pairs(count, 4 * count, int(rng.integers(1 << 30)))
+        pairs = losses.sample_pairs(count, losses.PAIR_FACTOR * count, int(rng.integers(1 << 30)))
         gaps = np.abs(mask[pairs[:, 0]] - mask[pairs[:, 1]])
         if gaps.min() > 1e-3:  # keep the |.| subgradient well-defined under FD
             return anchors, mask, pairs
@@ -223,7 +223,6 @@ def _render_gradient_error(rng: np.random.Generator, level: int) -> float:
 def criterion_gradients(configs: int = 100) -> tuple[bool, str]:
     """level_loss's rate/consistency gradients and the render gradient match central differences."""
     rng = np.random.default_rng(41)
-    quant = dict(bitstream.DEFAULT_QUANT_STEPS)
     # one term of level_loss at a time; the rate term's priors are refitted
     # for every mask in the stencil, as training refits them whenever the
     # level's active set changes
@@ -240,7 +239,8 @@ def criterion_gradients(configs: int = 100) -> tuple[bool, str]:
         def objective(term, m):
             bits = None
             if term == "rate":
-                bits = entropy.per_anchor_bits(anchors, entropy.family_priors(anchors, m > MASK_THRESHOLD, quant))
+                priors = entropy.family_priors(anchors, m > MASK_THRESHOLD, bitstream.DEFAULT_QUANT_STEPS)
+                bits = entropy.per_anchor_bits(anchors, priors)
             return losses.level_loss(0.0, m, 0, terms[term], table, pairs, bits)
 
         for term in terms:

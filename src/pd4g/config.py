@@ -81,6 +81,10 @@ class RunConfig:
             raise ConfigError("timestep_count must lie in [1, 32]")
         if self.image_width < 8 or self.image_height < 8:
             raise ConfigError("image_width/image_height must be at least 8")
+        if self.anchor_count * self.image_width * self.image_height > toyscene.MAX_ANCHOR_PIXELS:
+            raise ConfigError(
+                f"anchor_count * image_width * image_height must be at most {toyscene.MAX_ANCHOR_PIXELS}"
+            )
         if self.train_steps < 0:
             raise ConfigError("train_steps must be non-negative")
         if self.progressive_start_step < 0:

@@ -4,15 +4,15 @@ A trace stores each segment as reduced integer ratios (numerator and
 positive denominator of its seconds and of its Mbps) with the lcm of each
 column's denominators; its ``Fraction`` view, ``segments``, is built only
 when read, and neither the parser nor the simulator reads it. Byte arrival
-is integrated exactly from those integers: each trace carries its integral
-in integers at the common denominators (segment start times, cumulative
-bytes at the end of each positive-rate segment, and its zero-rate runs), and
-``simulate`` places every layer completion by bisection over the cumulative
-bytes, so completion instants carry no time-stepping error and come out as
-exact ``Fraction``s. Sizes use decimal megabytes (1e6 bytes) and throughput
-decimal megabits per second, which makes the first-frame formula 8*S/B
-exact. The simulator models download only; decode and render time are out
-of scope.
+is integrated exactly from those integers, once, when the trace is built:
+the trace holds its integral in integers at the common denominators
+(segment start times, cumulative bytes at the end of each positive-rate
+segment, and its zero-rate runs), and ``simulate`` places every layer
+completion by bisection over the cumulative bytes, so completion instants
+carry no time-stepping error and come out as exact ``Fraction``s. Sizes use
+decimal megabytes (1e6 bytes) and throughput decimal megabits per second,
+which makes the first-frame formula 8*S/B exact. The simulator models
+download only; decode and render time are out of scope.
 
 Trace numbers are read exactly by one parser, ``_parse_ratio``, which builds
 integer numerators and denominators from the digits of a field. It accepts
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .bitstream import LayerManifest
 
@@ -141,23 +141,6 @@ def _ratio(value) -> tuple[int, int]:
         raise ValueError(f"trace numbers must be finite, got {value!r}") from None
 
 
-class _Integral(NamedTuple):
-    """Byte arrival over a trace in integers at common denominators.
-
-    Time counts ticks of 1/D s, where D is the lcm of the duration
-    denominators; bytes count units of 1/(D*L) byte, where L is the lcm of
-    the Mbps denominators, so a rate of m Mbps is m*L*125000 units per tick.
-    """
-
-    ticks_per_s: int  # D
-    units_per_byte: int  # D*L
-    starts: list[int]  # tick at which each positive-rate segment starts
-    rates: list[int]  # its rate in units per tick
-    arrived: list[int]  # units received by its end, strictly increasing
-    runs_after: list[int]  # per maximal zero-rate run: positive-rate segments before it
-    stalls: list[tuple[StreamEvent, StreamEvent]]  # per run: its stall-begin and stall-end
-
-
 @dataclass(frozen=True, init=False)
 class BandwidthTrace:
     """Piecewise-constant throughput timeline: (duration seconds, Mbps) segments.
@@ -166,11 +149,24 @@ class BandwidthTrace:
     denominator), (Mbps numerator, denominator))`` with positive
     denominators; equality and hash go by these ratios. ``segments`` is the
     same timeline as ``Fraction``s, built on first read.
+
+    The other attributes are the byte-arrival integral, built with the trace.
+    Time counts ticks of 1/D s, where D is the lcm of the duration
+    denominators; bytes count units of 1/(D*L) byte, where L is the lcm of
+    the Mbps denominators, so a rate of m Mbps is m*L*125000 units per tick.
     """
 
     ratios: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    per_s: int = field(compare=False, repr=False)  # the lcm of the duration denominators
-    per_mbps: int = field(compare=False, repr=False)  # the lcm of the rate denominators
+    per_s: int = field(compare=False, repr=False)  # D, ticks per second
+    units_per_byte: int = field(compare=False, repr=False)  # D*L
+    # per positive-rate segment: its start tick, its rate in units per tick,
+    # and the units received by its end (strictly increasing)
+    starts: tuple[int, ...] = field(compare=False, repr=False)
+    rates: tuple[int, ...] = field(compare=False, repr=False)
+    arrived: tuple[int, ...] = field(compare=False, repr=False)
+    # per maximal zero-rate run: the positive-rate segments before it, and its stall-begin and stall-end
+    runs_after: tuple[int, ...] = field(compare=False, repr=False)
+    stalls: tuple[tuple[StreamEvent, StreamEvent], ...] = field(compare=False, repr=False)
 
     def __init__(self, segments: Iterable[tuple[object, object]]):
         """``segments`` holds (seconds, Mbps) pairs of numbers or of strings read by ``_parse_ratio``.
@@ -179,7 +175,8 @@ class BandwidthTrace:
         earlier in the same column reuses its checked ratio. The segment at
         which a common denominator first reaches ``MAX_DENOMINATOR_DIGITS``
         digits is refused: without the bound, a few hundred kilobytes of
-        distinct duration denominators keep ``simulate`` busy for minutes.
+        distinct duration denominators keep the integral's build busy for
+        minutes.
         """
         ratios = []
         durations, rates = {}, {}  # value -> checked ratio, per column and for this call only
@@ -204,7 +201,38 @@ class BandwidthTrace:
             ratios.append((duration, mbps))
         if not ratios:
             raise ValueError("trace requires at least one segment")
-        self.__dict__.update(ratios=tuple(ratios), per_s=per_s, per_mbps=per_mbps)
+
+        units_per_mbps = per_mbps * BYTES_PER_MBIT
+        ticks = [p * (per_s // q) for (p, q), _ in ratios]
+        speeds = [p * (units_per_mbps // q) for _, (p, q) in ratios]
+        ends = list(accumulate(ticks))
+        positive = [i for i, speed in enumerate(speeds) if speed]
+        arrived = tuple(accumulate(ticks[i] * speeds[i] for i in positive))
+        units_per_byte = per_s * per_mbps
+        runs_after, stalls = [], []
+        previous = -1  # the last positive-rate segment passed
+        for before, i in enumerate(positive + [len(speeds)]):
+            if i > previous + 1:  # segments previous+1 .. i-1 are a maximal zero-rate run
+                held = Fraction(arrived[before - 1] if before else 0, units_per_byte)
+                begin = Fraction(ends[previous] if before else 0, per_s)
+                runs_after.append(before)
+                stalls.append(
+                    (
+                        StreamEvent(begin, "stall-begin", None, held),
+                        StreamEvent(Fraction(ends[i - 1], per_s), "stall-end", None, held),
+                    )
+                )
+            previous = i
+        self.__dict__.update(
+            ratios=tuple(ratios),
+            per_s=per_s,
+            units_per_byte=units_per_byte,
+            starts=tuple(ends[i] - ticks[i] for i in positive),
+            rates=tuple(speeds[i] for i in positive),
+            arrived=arrived,
+            runs_after=tuple(runs_after),
+            stalls=tuple(stalls),
+        )
 
     @cached_property
     def segments(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -250,41 +278,6 @@ class BandwidthTrace:
             if not number:  # no line was left to blame: none held a segment
                 raise TraceParseError(0, "trace file holds no segments") from None
             raise TraceParseError(number, f"{exc} in {line!r}") from exc
-
-    @cached_property
-    def _integral(self) -> _Integral:
-        per_s = self.per_s
-        units_per_mbps = self.per_mbps * BYTES_PER_MBIT
-        ticks = [p * (per_s // q) for (p, q), _ in self.ratios]
-        rates = [p * (units_per_mbps // q) for _, (p, q) in self.ratios]
-        ends = list(accumulate(ticks))
-        positive = [i for i, rate in enumerate(rates) if rate]
-        arrived = list(accumulate(ticks[i] * rates[i] for i in positive))
-        units_per_byte = per_s * self.per_mbps
-
-        runs_after, stalls = [], []
-        previous = -1  # the last positive-rate segment passed
-        for before, i in enumerate(positive + [len(rates)]):
-            if i > previous + 1:  # segments previous+1 .. i-1 are a maximal zero-rate run
-                held = Fraction(arrived[before - 1] if before else 0, units_per_byte)
-                begin = Fraction(ends[previous] if before else 0, per_s)
-                runs_after.append(before)
-                stalls.append(
-                    (
-                        StreamEvent(begin, "stall-begin", None, held),
-                        StreamEvent(Fraction(ends[i - 1], per_s), "stall-end", None, held),
-                    )
-                )
-            previous = i
-        return _Integral(
-            ticks_per_s=per_s,
-            units_per_byte=units_per_byte,
-            starts=[ends[i] - ticks[i] for i in positive],
-            rates=[rates[i] for i in positive],
-            arrived=arrived,
-            runs_after=runs_after,
-            stalls=stalls,
-        )
 
 
 @dataclass(frozen=True)
@@ -396,28 +389,27 @@ def simulate(
     result is an incomplete-stream timeline (final level None), not an error.
     """
     sizes = _cumulative_bytes(manifest)
-    g = trace._integral
     events: list[StreamEvent] = []
     completions: list[Fraction] = []
     placed = 0  # zero-rate runs already in ``events``
     for layer, size in enumerate(sizes):
-        target = size * g.units_per_byte
-        j = bisect_left(g.arrived, target)  # the positive-rate segment in which this prefix completes
-        if j == len(g.arrived):
+        target = size * trace.units_per_byte
+        j = bisect_left(trace.arrived, target)  # the positive-rate segment in which this prefix completes
+        if j == len(trace.arrived):
             break
-        before = bisect_right(g.runs_after, j)
-        events.extend(e for pair in g.stalls[placed:before] for e in pair)
+        before = bisect_right(trace.runs_after, j)
+        events.extend(e for pair in trace.stalls[placed:before] for e in pair)
         placed = before
-        rate = g.rates[j]
-        missing = target - (g.arrived[j - 1] if j else 0)
-        completions.append(Fraction(g.starts[j] * rate + missing, g.ticks_per_s * rate))
+        rate = trace.rates[j]
+        missing = target - (trace.arrived[j - 1] if j else 0)
+        completions.append(Fraction(trace.starts[j] * rate + missing, trace.per_s * rate))
         events.append(StreamEvent(completions[-1], "layer-complete", layer, Fraction(size)))
 
     if len(completions) == len(sizes):
         total = Fraction(sizes[-1])
     else:
-        events.extend(e for pair in g.stalls[placed:] for e in pair)
-        total = Fraction(g.arrived[-1] if g.arrived else 0, g.units_per_byte)
+        events.extend(e for pair in trace.stalls[placed:] for e in pair)
+        total = Fraction(trace.arrived[-1] if trace.arrived else 0, trace.units_per_byte)
     return StreamTimeline(
         events=tuple(events),
         first_frame_time=completions[0] if completions else None,
@@ -457,24 +449,23 @@ def emit_abr_manifest(manifest: LayerManifest, base_url: str) -> str:
 def latency_table(
     manifests: Sequence[Union[LayerManifest, float]],
     bandwidths: Sequence[float],
-    labels: Sequence[str] | None = None,
+    labels: Sequence[str],
 ) -> list[dict]:
     """First-frame latency grid over (model size, bandwidth) pairs.
 
     Entries of ``manifests`` are either LayerManifest objects (their total
     size is used) or plain sizes in decimal MB. Returns one row per model
-    with per-bandwidth latencies in seconds. ``labels``, when given, names
-    each entry; raises ``ValueError`` when their counts differ or when
-    ``bandwidths`` is empty.
+    with per-bandwidth latencies in seconds. ``labels`` names each entry;
+    raises ``ValueError`` when their counts differ or when ``bandwidths`` is
+    empty.
     """
     for b in bandwidths:
         _check_bandwidth(b)
-    if labels is not None and len(labels) != len(manifests):
+    if len(labels) != len(manifests):
         raise ValueError(f"{len(labels)} labels for {len(manifests)} entries")
     rows = []
-    for i, entry in enumerate(manifests):
+    for label, entry in zip(labels, manifests):
         size_mb = entry.total_bytes / BYTES_PER_MB if isinstance(entry, LayerManifest) else entry
-        label = f"model-{i}" if labels is None else labels[i]
         try:
             _check_size(size_mb)
             latencies = [first_frame_latency(size_mb, b) for b in bandwidths]

@@ -34,6 +34,9 @@ from .seeds import counter_uniform, derive_seed, rng_for
 PSNR_CAP_DB = 99.0
 FEATURE_DIM = 4  # per-anchor feature width of a generated scene
 _SCALE_FLOOR = 1e-9  # blobs below this width contribute nothing
+# the largest anchor_count * width * height of a scene: a (V, P) float64 plane
+# is then at most 8 MiB, and a training run holds one per splat (2T + 1) and a few more
+MAX_ANCHOR_PIXELS = 2**20
 
 SCENE_KINDS = ("static", "global-motion", "mixed", "motion-dense")
 
@@ -81,7 +84,8 @@ class TrainReport:
     final_activation_ema: float
     final_distribution: tuple[float, float, float]
     activation_trajectory: tuple[tuple[int, float, float], ...]  # (step, sample, ema)
-    loss_curve: tuple[dict, ...]
+    # per step: (step, level, timestep, render, rate, consistency, total)
+    loss_curve: tuple[tuple[int, int, int, float, float, float, float], ...]
 
     def to_json(self) -> str:
         payload = {
@@ -98,11 +102,7 @@ class TrainReport:
 
     def loss_curve_csv(self) -> str:
         lines = ["step,level,timestep,render,rate,consistency,total"]
-        for row in self.loss_curve:
-            lines.append(
-                f"{row['step']},{row['level']},{row['timestep']},"
-                f"{row['render']!r},{row['rate']!r},{row['consistency']!r},{row['total']!r}"
-            )
+        lines.extend(",".join(map(repr, row)) for row in self.loss_curve)
         return "\n".join(lines) + "\n"
 
 
@@ -259,6 +259,7 @@ def make_scene(
     genuine middle ground; ``motion-dense`` moves half the anchors with
     large local residuals on top of the drift. Scenes of different kinds
     built from the same seed share their base anchor population.
+    ``anchor_count * width * height`` may be at most ``MAX_ANCHOR_PIXELS``.
     """
     if kind not in SCENE_KINDS:
         raise ValueError(f"unknown scene kind {kind!r}; expected one of {SCENE_KINDS}")
@@ -269,6 +270,8 @@ def make_scene(
     width, height = image_size
     if width < 8 or height < 8:
         raise ValueError("image_size must be at least 8x8")
+    if anchor_count * width * height > MAX_ANCHOR_PIXELS:
+        raise ValueError(f"anchor_count * width * height must be at most {MAX_ANCHOR_PIXELS}")
 
     rng = rng_for(seed, "scene")
     count = anchor_count
@@ -410,7 +413,10 @@ def train_masks(
     distribution and a random timestep, differentiates the L1 render loss
     through the splat in closed form, and from ``progressive_start`` on adds
     the rate and consistency terms of ``losses.level_loss``, which also
-    supplies the loss curve's rate and consistency columns. A step whose
+    supplies the loss curve's rate and consistency columns. The splats of
+    every (level, timestep) are built once, before the first step: 1 + 2T of
+    them, as level 0 takes no deformation and shares one across timesteps.
+    The steps and the final PSNR pass both read that table. A step whose
     level and timestep meet the same mask bytes as when they last met reuses
     that render loss and gradient. The entropy
     priors behind the rate are fitted on the level's active anchors and
@@ -438,15 +444,11 @@ def train_masks(
     rollout_seed = derive_seed(seed, "rollout")
     timestep_seed = derive_seed(seed, "timestep")
 
-    splat_cache: dict[tuple[int, int], _Splat] = {}
+    # splats[level][k]; level 0 takes no deformation, so its one splat serves every timestep
+    times = scene.deformations.timesteps
+    splats = [[_Splat(scene.anchors, scene.deformations, 0, 0.0, pixels)] * len(times)]
+    splats += [[_Splat(scene.anchors, scene.deformations, level, float(t), pixels) for t in times] for level in (1, 2)]
     work = np.empty((2, count, pixels.shape[0]))  # _render_gradient's (V, P) intermediates
-
-    def splat_at(level: int, k: int) -> _Splat:
-        key = (level, k if level else 0)  # level 0 takes no deformation, so one splat serves every timestep
-        if key not in splat_cache:
-            t = float(scene.deformations.timesteps[k])
-            splat_cache[key] = _Splat(scene.anchors, scene.deformations, level, t, pixels)
-        return splat_cache[key]
 
     # per level, the last active set (as bytes) and the bits fitted on it:
     # the anchors are fixed for the run and the quant steps are the codec's,
@@ -458,7 +460,7 @@ def train_masks(
     rendered: dict[tuple[int, int], tuple[bytes, float, np.ndarray]] = {}
     pair_table = losses.pair_weights(scene.anchors.positions, losses.TAU)
     trajectory: list[tuple[int, float, float]] = []
-    curve: list[dict] = []
+    curve: list[tuple[int, int, int, float, float, float, float]] = []
 
     for step in range(steps):
         if step % rollout_config.sample_period == 0:
@@ -474,7 +476,7 @@ def train_masks(
         mask = levels[level]
         mask_key = mask.tobytes()
         if (level, k) not in rendered or rendered[level, k][0] != mask_key:
-            render_loss, grad = _render_gradient(splat_at(level, k), mask, gt_flat[k], work)
+            render_loss, grad = _render_gradient(splats[level][k], mask, gt_flat[k], work)
             rendered[level, k] = (mask_key, render_loss, read_only(grad))
         _, render_loss, grad = rendered[level, k]
         total, rate, consistency = render_loss, 0.0, 0.0
@@ -497,17 +499,7 @@ def train_masks(
             raise TrainingDivergedError(step)
 
         levels[level] = np.clip(mask - learning_rate * grad, 0.0, 1.0)
-        curve.append(
-            {
-                "step": step,
-                "level": level,
-                "timestep": k,
-                "render": render_loss,
-                "rate": rate,
-                "consistency": consistency,
-                "total": total,
-            }
-        )
+        curve.append((step, level, k, render_loss, rate, consistency, total))
 
     bank = MaskBank(levels=(levels[0], levels[1], levels[2]))
     final_pi = rollout.current_distribution(ema, steps, rollout_config)
@@ -516,7 +508,7 @@ def train_masks(
     active_levels = []
     for level in range(3):
         values = [
-            psnr(splat_at(level, k).image(bank.level(level)).reshape(gt.shape), gt)
+            psnr(splats[level][k].image(bank.level(level)).reshape(gt.shape), gt)
             for k, gt in enumerate(scene.ground_truth)
         ]
         psnr_levels.append(float(np.mean(values)))

@@ -238,6 +238,16 @@ class TestValue:
         with pytest.raises(ConfigError, match=f"{key} must be of type"):
             replace(RunConfig(), **{key: value})
 
+    def test_anchor_pixel_product_is_bounded(self):
+        # 64 anchors at 128x128 is the bound; one more pixel row or column passes it
+        assert RunConfig(anchor_count=64, image_width=128, image_height=128).image_height == 128
+        message = r"anchor_count \* image_width \* image_height must be at most 1048576"
+        for width, height in ((128, 129), (129, 128)):
+            with pytest.raises(ConfigError, match=message):
+                RunConfig(anchor_count=64, image_width=width, image_height=height)
+        with pytest.raises(ConfigError, match=message):
+            parse_config("anchor_count = 1024\nimage_width = 33\nimage_height = 32\n")
+
     def test_int_value_for_a_float_key(self):
         assert RunConfig(learning_rate=1).learning_rate == 1
         assert RunConfig(lambda_layer0=0).loss_weights().lambda_layer[0] == 0

@@ -8,6 +8,7 @@ import random
 import re
 import sys
 import time
+from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
@@ -409,7 +410,8 @@ class TestSimulate:
             trace = BandwidthTrace.from_csv(text)
         rebuilt = BandwidthTrace(segments=trace.segments)
         assert rebuilt == trace and hash(rebuilt) == hash(trace)
-        assert rebuilt._integral == trace._integral
+        every_field = [f.name for f in fields(BandwidthTrace)]  # the ratios and the integral built from them
+        assert [getattr(rebuilt, f) for f in every_field] == [getattr(trace, f) for f in every_field]
         assert simulate(sizes, rebuilt) == simulate(sizes, trace)
         if via_csv:  # a trace whose segments were never read compares alike
             assert BandwidthTrace.from_csv(text) == rebuilt
@@ -591,7 +593,7 @@ class TestAbrManifest:
 
 class TestLatencyTable:
     def test_single_cell(self):
-        rows = latency_table([1.0], [8.0])
+        rows = latency_table([1.0], [8.0], labels=["one"])
         assert rows[0]["latency_s"] == [pytest.approx(1.0)]
 
     def test_grid_shape_and_csv(self):
@@ -612,12 +614,12 @@ class TestLatencyTable:
     def test_manifest_entries_use_total_size(self):
         anchors, bank, table = random_asset(np.random.default_rng(4))
         man = bitstream.manifest(bitstream.encode(anchors, bank, table))
-        rows = latency_table([man], [8.0])
+        rows = latency_table([man], [8.0], labels=["asset"])
         assert rows[0]["size_mb"] == pytest.approx(man.total_bytes / 1e6)
 
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError):
-            latency_table([1.0], [0.0])
+            latency_table([1.0], [0.0], labels=["one"])
 
     @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]], ids=["fewer", "more"])
     def test_rejects_label_count_mismatch(self, labels):
@@ -626,16 +628,16 @@ class TestLatencyTable:
 
     def test_rejects_empty_bandwidths(self):
         with pytest.raises(ValueError, match="bandwidths list is empty"):
-            latency_table([1.0], [])
+            latency_table([1.0], [], labels=["one"])
 
     def test_rejects_overflowing_latency(self):
-        with pytest.raises(ValueError, match="model-0: .*overflows"):
-            latency_table([1e308], [1e-300])
+        with pytest.raises(ValueError, match="huge: .*overflows"):
+            latency_table([1e308], [1e-300], labels=["huge"])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 10**400], ids=["nan", "inf", "1e400"])
     def test_rejects_non_finite_inputs(self, bad):
         with pytest.raises(ValueError, match=repr(bad)):
-            latency_table([], [2.0, bad])
+            latency_table([], [2.0, bad], labels=[])
         for bandwidths in ([2.0], []):
             with pytest.raises(ValueError, match=f"big: .*{bad!r}"):
                 latency_table([1.0, bad], bandwidths, labels=["small", "big"])

@@ -248,6 +248,16 @@ class TestMakeScene:
         with pytest.raises(ValueError):
             make_scene("nonsense", 16, 3, seed=0)
 
+    def test_anchor_pixel_product_is_bounded(self):
+        # 4 anchors at 512x512 is the bound; one more pixel row or column passes it
+        assert 4 * 512 * 512 == toyscene.MAX_ANCHOR_PIXELS
+        assert make_scene("static", 4, 1, seed=0, image_size=(512, 512)).ground_truth.shape == (1, 512, 512, 3)
+        for size in ((512, 513), (513, 512)):
+            with pytest.raises(ValueError, match=r"anchor_count \* width \* height must be at most 1048576"):
+                make_scene("static", 4, 1, seed=0, image_size=size)
+        with pytest.raises(ValueError, match="at most 1048576"):
+            make_scene("static", 1024, 1, seed=0, image_size=(32, 33))
+
     def test_all_kinds_construct(self):
         for kind in SCENE_KINDS:
             scene = make_scene(kind, 8, 2, seed=2, image_size=(12, 12))
@@ -319,6 +329,22 @@ class TestTrainMasks:
         for level in range(3):
             assert np.all(bank.level(level) == 1.0)
         assert report.steps == 0
+
+    @pytest.mark.parametrize("steps", [0, 40])
+    def test_builds_one_splat_per_level_and_timestep(self, small_scene, monkeypatch, steps):
+        # level 0 takes no deformation, so its one splat serves every timestep: 1 + 2T in all
+        built = []
+
+        class CountedSplat(toyscene._Splat):
+            def __init__(self, anchors, deformations, level, t, pixels):
+                super().__init__(anchors, deformations, level, t, pixels)
+                built.append(level)
+
+        monkeypatch.setattr(toyscene, "_Splat", CountedSplat)
+        cfg = RolloutConfig(sample_period=10, warmup_steps=20)
+        train_masks(small_scene, LossWeights(), cfg, steps=steps, seed=4, learning_rate=0.3, progressive_start=20)
+        t = small_scene.deformations.step_count
+        assert sorted(built) == [0] + [1] * t + [2] * t
 
     def test_threshold_is_fixed(self, small_scene):
         kwargs = dict(steps=0, seed=1, learning_rate=0.4, progressive_start=400)
