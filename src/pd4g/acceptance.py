@@ -4,8 +4,8 @@ Each criterion is a standalone function returning (passed, details); the
 registry runs them all with wall-clock accounting. Training-based checks
 share one in-process cache so repeated verification stays affordable.
 They train ``ACCEPT_RUN``: ``RunConfig``'s desk-scale defaults, with the
-published loss weights and threshold, and a tighter scheduler cadence (sample
-period 25, warm-up 400) than the published full-scale constants. Each
+published loss weights and a tighter scheduler cadence (sample period 25,
+warm-up 400) than the published full-scale constants. Each
 criterion's runs are declared once below, as ``RunConfig`` values derived
 from ``ACCEPT_RUN``.
 """
@@ -162,17 +162,23 @@ def criterion_entropy_oracle(samples: int = 1000) -> tuple[bool, str]:
     return True, f"worst deviation {worst:.2e} bits over {samples} configs ({clamped_cases} clamped)"
 
 
-def _random_gradient_fixture(rng: np.random.Generator):
-    count = int(rng.integers(8, 32))
-    fdim = int(rng.integers(2, 6))
-    anchors = AnchorSet(
-        positions=rng.uniform(0, 1, (count, 2)),
+def _random_anchors(rng: np.random.Generator, positions: np.ndarray, fdim: int) -> AnchorSet:
+    """Anchors at ``positions`` with the other five fields drawn from ``rng`` in field order."""
+    count = len(positions)
+    return AnchorSet(
+        positions=positions,
         features=rng.normal(0, 1, (count, fdim)),
         scales=rng.uniform(0.2, 2.0, count),
         offsets=rng.normal(0, 0.5, (count, 2)),
         opacities=rng.uniform(0, 1, count),
         colors=rng.uniform(0, 1, (count, 3)),
     )
+
+
+def _random_gradient_fixture(rng: np.random.Generator):
+    count = int(rng.integers(8, 32))
+    fdim = int(rng.integers(2, 6))
+    anchors = _random_anchors(rng, rng.uniform(0, 1, (count, 2)), fdim)
     while True:
         mask = rng.uniform(0.05, 0.95, count)
         pairs = losses.sample_pairs(count, losses.PAIR_FACTOR * count, int(rng.integers(1 << 30)))
@@ -261,14 +267,7 @@ def random_asset(rng: np.random.Generator):
     count = int(rng.integers(8, 48))
     fdim = int(rng.integers(2, 6))
     steps = int(rng.integers(1, 6))
-    anchors = AnchorSet(
-        positions=rng.normal(0, 0.5, (count, 2)),
-        features=rng.normal(0, 1, (count, fdim)),
-        scales=rng.uniform(0.2, 2.0, count),
-        offsets=rng.normal(0, 0.5, (count, 2)),
-        opacities=rng.uniform(0, 1, count),
-        colors=rng.uniform(0, 1, (count, 3)),
-    )
+    anchors = _random_anchors(rng, rng.normal(0, 0.5, (count, 2)), fdim)
     masks = rng.uniform(0, 1, (3, count))
     masks[0, 0] = 0.9  # keep the base layer non-empty
     bank = MaskBank(levels=(masks[0], masks[1], masks[2]))
@@ -349,26 +348,14 @@ def criterion_prefix_decodability(containers: int = 20) -> tuple[bool, str]:
         exp_anchors, exp_masks, exp_tables = expected_reconstruction(
             anchors, bank, table, decoded.anchor_indices, q
         )
-        pairs = [
-            (decoded.anchors.positions, exp_anchors["positions"]),
-            (decoded.anchors.features, exp_anchors["features"]),
-            (decoded.anchors.scales, exp_anchors["scales"]),
-            (decoded.anchors.offsets, exp_anchors["offsets"]),
-            (decoded.anchors.opacities, exp_anchors["opacities"]),
-            (decoded.anchors.colors, exp_anchors["colors"]),
-            (decoded.bank.level(0), exp_masks[0]),
-            (decoded.bank.level(1), exp_masks[1]),
-            (decoded.bank.level(2), exp_masks[2]),
-            (decoded.deformations.displacements, exp_tables["displacements"]),
-            (decoded.deformations.feature_residuals, exp_tables["feature_residuals"]),
-            (decoded.deformations.local.d_position, exp_tables["d_position"]),
-            (decoded.deformations.local.d_scale, exp_tables["d_scale"]),
-            (decoded.deformations.local.d_opacity, exp_tables["d_opacity"]),
-            (decoded.deformations.local.d_color, exp_tables["d_color"]),
-        ]
-        for j, (got, expect) in enumerate(pairs):
-            if not np.array_equal(np.asarray(got), np.asarray(expect)):
-                return False, f"case {case}: field {j} not exactly reconstructed"
+        fields = [(name, getattr(decoded.anchors, name), want) for name, want in exp_anchors.items()]
+        fields += [(f"mask {level}", decoded.bank.level(level), want) for level, want in enumerate(exp_masks)]
+        for name, want in exp_tables.items():
+            owner = decoded.deformations.local if name.startswith("d_") else decoded.deformations
+            fields.append((name, getattr(owner, name), want))
+        for name, got, expect in fields:
+            if not np.array_equal(got, expect):
+                return False, f"case {case}: field {name} not exactly reconstructed"
     return True, f"{containers} containers: all boundary truncations and round trips exact"
 
 
@@ -455,7 +442,7 @@ def criterion_rate_coder_correlation(points: int = 20) -> tuple[bool, str]:
         prior = entropy.estimate_prior(values, np.ones(values.size, dtype=bool), q)
         modeled.append(float(np.sum(entropy.bit_cost(values, prior))))
         indices = entropy.quantize_array(values, q)
-        actual.append(len(bitstream.compress_chunk(bitstream.pack_ints(indices), bitstream.DEFAULT_PRESET)))
+        actual.append(len(bitstream.compress_chunk(bitstream.pack_ints(indices))))
     corr = float(stats.spearmanr(modeled, actual).statistic)
     if corr < 0.9:
         return False, f"Spearman correlation {corr:.3f} < 0.9"

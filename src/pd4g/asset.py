@@ -53,6 +53,12 @@ def _frozen(a) -> np.ndarray:
     return read_only(np.array(a, dtype=np.float64, copy=True))
 
 
+def _freeze(obj, *names: str) -> None:
+    """Replace each named array field of the frozen dataclass ``obj`` by its ``_frozen`` form."""
+    for name in names:
+        object.__setattr__(obj, name, _frozen(getattr(obj, name)))
+
+
 def check_layer(level: int) -> int:
     level = int(level)
     if level not in (0, 1, 2):
@@ -78,12 +84,7 @@ class AnchorSet:
     colors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", _frozen(self.positions))
-        object.__setattr__(self, "features", _frozen(self.features))
-        object.__setattr__(self, "scales", _frozen(self.scales))
-        object.__setattr__(self, "offsets", _frozen(self.offsets))
-        object.__setattr__(self, "opacities", _frozen(self.opacities))
-        object.__setattr__(self, "colors", _frozen(self.colors))
+        _freeze(self, "positions", "features", "scales", "offsets", "opacities", "colors")
 
         if self.positions.ndim != 2:
             raise ValueError("positions must be a (count, dim) array")
@@ -167,10 +168,7 @@ class LocalResiduals:
     d_color: np.ndarray  # (T, count, 3)
 
     def __post_init__(self):
-        object.__setattr__(self, "d_position", _frozen(self.d_position))
-        object.__setattr__(self, "d_scale", _frozen(self.d_scale))
-        object.__setattr__(self, "d_opacity", _frozen(self.d_opacity))
-        object.__setattr__(self, "d_color", _frozen(self.d_color))
+        _freeze(self, "d_position", "d_scale", "d_opacity", "d_color")
 
 
 @dataclass(frozen=True)
@@ -189,9 +187,7 @@ class DeformationTable:
     local: LocalResiduals
 
     def __post_init__(self):
-        object.__setattr__(self, "timesteps", _frozen(self.timesteps))
-        object.__setattr__(self, "displacements", _frozen(self.displacements))
-        object.__setattr__(self, "feature_residuals", _frozen(self.feature_residuals))
+        _freeze(self, "timesteps", "displacements", "feature_residuals")
 
         t = self.timesteps
         if t.ndim != 1 or t.shape[0] < 1:

@@ -35,6 +35,7 @@ CHUNK_ENTRY = struct.Struct("<BQQI")
 HEADER_CRC = struct.Struct("<I")
 DEFAULT_PRESET = 6
 DICT_SIZE = 2**20  # every chunk's LZMA2 dictionary, whatever the preset
+_ENCODE_FILTERS = [{"id": lzma.FILTER_LZMA2, "preset": DEFAULT_PRESET, "dict_size": DICT_SIZE}]
 _DECODE_FILTERS = [{"id": lzma.FILTER_LZMA2, "dict_size": DICT_SIZE}]  # FORMAT.md's decoder chain, for every preset
 INT_WIDTHS = (1, 2, 4)
 MAX_FEATURE_DIM = 0xFFFF  # the header's u16 field F
@@ -68,11 +69,6 @@ class IntegrityError(ValueError):
 
 class EmptyBaseLayerError(ValueError):
     """Nothing survives the base-layer mask threshold; the asset is unstreamable."""
-
-
-def usable_quant_step(step: float) -> bool:
-    """Whether every 32-bit index, up to magnitude 2**31, reconstructs to a finite value."""
-    return step > 0 and math.isfinite(step * 2**31)
 
 
 @dataclass(frozen=True)
@@ -176,14 +172,9 @@ def pack_ints(values: np.ndarray) -> bytes:
     return bytes([width]) + _pack(values, f"<i{width}")
 
 
-def _filters(preset: int) -> list[dict]:
-    """The LZMA2 filter chain chunks are compressed with: the preset's settings with the fixed dictionary size."""
-    return [{"id": lzma.FILTER_LZMA2, "preset": preset, "dict_size": DICT_SIZE}]
-
-
-def compress_chunk(raw: bytes, preset: int) -> bytes:
+def compress_chunk(raw: bytes) -> bytes:
     """One chunk payload as a raw LZMA2 stream."""
-    return lzma.compress(raw, format=lzma.FORMAT_RAW, filters=_filters(preset))
+    return lzma.compress(raw, format=lzma.FORMAT_RAW, filters=_ENCODE_FILTERS)
 
 
 def _level_tables(deformations: DeformationTable, level: int) -> tuple[np.ndarray, ...]:
@@ -261,7 +252,7 @@ def encode(
     # --- header + chunk table + compressed payload
     sizes = (anchors.dim, anchors.count, anchors.feature_dim, deformations.step_count)
     header = HEADER.pack(MAGIC, VERSION, DEFAULT_PRESET, 0, *sizes, *(q[fam] for fam in QUANT_FAMILIES), len(chunks))
-    compressed = [compress_chunk(c, DEFAULT_PRESET) for c in chunks]
+    compressed = [compress_chunk(c) for c in chunks]
     table = [
         CHUNK_ENTRY.pack(layer, len(raw), len(comp), zlib.crc32(raw) & 0xFFFFFFFF)
         for layer, (raw, comp) in enumerate(zip(chunks, compressed))
@@ -293,7 +284,7 @@ def _parse_header(data: bytes):
         raise FormatError(f"spatial dimension {dim} is not 2 or 3")
     quant = dict(zip(QUANT_FAMILIES, steps))
     for fam, step in quant.items():
-        if not usable_quant_step(step):
+        if not (step > 0 and math.isfinite(step * 2**31)):  # every 32-bit index reconstructs to a finite value
             raise FormatError(
                 f"quantization step for {fam!r} is {step!r}; it must be positive and finite, also times 2**31"
             )

@@ -42,8 +42,6 @@ def _load_run_config(args) -> RunConfig:
         cfg = parse_config(_read_text(Path(args.config))) if args.config else RunConfig()
         overrides = {"seed": args.seed, "out_dir": args.out}
         return replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
-    except FileNotFoundError as exc:
-        raise _CliError(EXIT_RUNTIME, f"config file not found: {exc.filename}") from exc
     except ConfigError as exc:
         raise _CliError(EXIT_VALIDATION, str(exc)) from exc
 
@@ -101,12 +99,12 @@ def _bank_from_json(path: Path, anchor_count: int) -> MaskBank:
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    out = _out_dir(cfg)
     scene = cfg.make_scene()
     try:
         bank, report = cfg.train_masks(scene, cfg.seed)
     except toyscene.TrainingDivergedError as exc:
         raise _CliError(EXIT_RUNTIME, str(exc)) from exc
+    out = _out_dir(cfg)
     (out / "report.json").write_text(report.to_json())
     (out / "loss_curve.csv").write_text(report.loss_curve_csv())
     (out / "masks.json").write_text(_bank_to_json(bank))
@@ -121,10 +119,8 @@ def cmd_train(args) -> int:
 def cmd_encode(args) -> int:
     cfg = _load_run_config(args)
     bank_path = Path(args.masks) if args.masks else Path(cfg.out_dir) / "masks.json"
-    if not bank_path.exists():
-        raise _CliError(EXIT_RUNTIME, f"mask bank not found: {bank_path}")
-    scene = cfg.make_scene()
     bank = _bank_from_json(bank_path, cfg.anchor_count)
+    scene = cfg.make_scene()
     try:
         blob = bitstream.encode(scene.anchors, bank, scene.deformations)
     except bitstream.EmptyBaseLayerError as exc:
@@ -146,8 +142,6 @@ def cmd_encode(args) -> int:
 
 def cmd_inspect(args) -> int:
     path = Path(args.container)
-    if not path.exists():
-        raise _CliError(EXIT_RUNTIME, f"container not found: {path}")
     data = path.read_bytes()
     try:
         man = bitstream.manifest(data)
@@ -170,16 +164,12 @@ def cmd_inspect(args) -> int:
 
 def cmd_simulate(args) -> int:
     container = Path(args.container)
-    trace_path = Path(args.trace)
-    for p in (container, trace_path):
-        if not p.exists():
-            raise _CliError(EXIT_RUNTIME, f"input not found: {p}")
     try:
         man = bitstream.manifest(container.read_bytes())
     except (bitstream.FormatError, bitstream.TruncatedStreamError) as exc:
         raise _CliError(EXIT_RUNTIME, f"unreadable container: {exc}") from exc
     try:
-        trace = stream.BandwidthTrace.from_csv(_read_text(trace_path))
+        trace = stream.BandwidthTrace.from_csv(_read_text(Path(args.trace)))
     except stream.TraceParseError as exc:
         raise _CliError(EXIT_VALIDATION, f"malformed trace: {exc}") from exc
 
@@ -210,12 +200,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_latency_table(args) -> int:
-    sizes_path = Path(args.sizes)
-    if not sizes_path.exists():
-        raise _CliError(EXIT_RUNTIME, f"sizes file not found: {sizes_path}")
     labels = []
     sizes = []
-    for number, line in enumerate(_read_text(sizes_path).splitlines(), start=1):
+    for number, line in enumerate(_read_text(Path(args.sizes)).splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -324,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except FileNotFoundError as exc:  # every command reads all its inputs before it writes
+        print(f"error: input not found: {exc.filename}", file=sys.stderr)
+        return EXIT_RUNTIME
     except Exception as exc:  # unexpected runtime failure
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

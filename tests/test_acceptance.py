@@ -144,6 +144,20 @@ class TestHarnessSanity:
         passed, details = acceptance.criterion_gradients(configs=10)
         assert not passed
 
+    def test_wrong_field_is_named_by_the_round_trip_check(self, monkeypatch):
+        # deliberate fault injection: criterion 5 must name the field that
+        # does not match its expected reconstruction
+        expected_reconstruction = acceptance.expected_reconstruction
+
+        def off_colors(*args):
+            anchors, masks, tables = expected_reconstruction(*args)
+            return {**anchors, "colors": anchors["colors"] + 0.5}, masks, tables
+
+        monkeypatch.setattr(acceptance, "expected_reconstruction", off_colors)
+        passed, details = acceptance.criterion_prefix_decodability(containers=1)
+        assert not passed
+        assert "field colors" in details
+
     def test_run_all_reports_wall_clock(self):
         results = acceptance.run_all(selected={1, 2, 11})
         assert [r.index for r in results] == [1, 2, 11]

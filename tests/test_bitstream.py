@@ -26,7 +26,6 @@ from pd4g.bitstream import (
     FormatError,
     IntegrityError,
     TruncatedStreamError,
-    compress_chunk,
     decode_prefix,
     encode,
     manifest,
@@ -440,7 +439,8 @@ def _payload(blob: bytes, layer: int) -> bytes:
 def _recompressed(blob: bytes, preset: int) -> bytes:
     """``blob`` with its chunks recompressed at ``preset``, and its preset byte, chunk table and CRC to match."""
     man = manifest(blob)
-    comps = [compress_chunk(_payload(blob, layer), preset) for layer in range(len(man.chunks))]
+    filters = [{**_FILTERS[0], "preset": preset}]  # the writer's chain, at another preset
+    comps = [lzma.compress(_payload(blob, i), format=lzma.FORMAT_RAW, filters=filters) for i in range(len(man.chunks))]
     head = bytearray(blob[: man.header_bytes])
     head[5] = preset
     for layer, comp in enumerate(comps):  # each entry's compressed length follows its layer byte and raw length

@@ -129,6 +129,15 @@ class TestTrain:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverged_training_leaves_no_output_directory(self, tmp_path, capsys):
+        # a finite weight is a valid config, but this one drives training to diverge
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, FAST_TRAIN + "lambda_layer0 = 1e308\n", out)
+        assert main(["train", "--config", str(cfg)]) == EXIT_RUNTIME
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEncodeInspect:
     def test_container_and_manifest_exist(self, trained_dir):
@@ -157,7 +166,7 @@ class TestEncodeInspect:
         out = tmp_path / "fresh"
         cfg = write_config(tmp_path, FAST_TRAIN, out)
         assert main(["encode", "--config", str(cfg)]) == EXIT_RUNTIME
-        assert "mask bank" in capsys.readouterr().err
+        assert f"input not found: {out / 'masks.json'}" in capsys.readouterr().err
         assert not out.exists()  # inputs are read before the output directory is made
 
     def test_empty_base_layer_is_runtime_error(self, tmp_path, capsys):
@@ -391,6 +400,38 @@ class TestVerifyCommand:
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "command, missing",
+        [
+            ("train", "config"),
+            ("encode", "masks"),
+            ("inspect", "container"),
+            ("simulate", "container"),
+            ("simulate", "trace"),
+            ("latency-table", "sizes"),
+        ],
+    )
+    def test_missing_input_is_named(self, trained_dir, tmp_path, capsys, command, missing):
+        cfg, trained = trained_dir
+        inputs = {"config": cfg, "masks": trained / "masks.json", "container": trained / "asset.pd4g"}
+        inputs["trace"] = tmp_path / "trace.csv"
+        inputs["trace"].write_text("1000000,2\n")
+        inputs["sizes"] = tmp_path / "sizes.csv"
+        inputs["sizes"].write_text("model,1.5\n")
+        inputs[missing] = tmp_path / "absent" / f"{missing}.in"
+        out = tmp_path / "out"
+        argv = {
+            "train": ["--config", inputs["config"], "--out", out],
+            "encode": ["--config", inputs["config"], "--masks", inputs["masks"], "--out", out],
+            "inspect": [inputs["container"]],
+            "simulate": [inputs["container"], inputs["trace"], "--out", out],
+            "latency-table": ["--sizes", inputs["sizes"], "--out", out],
+        }[command]
+        assert main([command, *map(str, argv)]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert f"input not found: {inputs[missing]}" in captured.err and captured.out == ""
+        assert not out.exists()  # every command reads all its inputs before it writes
 
     def test_missing_container(self, capsys):
         assert main(["inspect", "/nonexistent/file.pd4g"]) == EXIT_RUNTIME

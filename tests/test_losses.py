@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from pd4g.acceptance import _fd_gradient
 from pd4g.losses import (
     PAIR_FACTOR,
     TAU,
@@ -217,21 +218,12 @@ class TestLevelLoss:
 
 
 class TestGradientsAgainstFiniteDifferences:
-    def _fd(self, f, x, h=1e-5):
-        g = np.empty_like(x)
-        for i in range(x.size):
-            up, dn = x.copy(), x.copy()
-            up[i] += h
-            dn[i] -= h
-            g[i] = (f(up) - f(dn)) / (2 * h)
-        return g
-
     def test_binary_entropy_gradient(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             mask = rng.uniform(0.01, 0.99, 12)
             _, analytic = binary_entropy(mask)
-            fd = self._fd(binary_entropy_value, mask)
+            fd = _fd_gradient(binary_entropy_value, mask)
             assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-4
 
     def test_smoothness_gradient(self):
@@ -243,7 +235,7 @@ class TestGradientsAgainstFiniteDifferences:
             while np.min(np.abs(mask[pairs[:, 0]] - mask[pairs[:, 1]])) < 1e-3:
                 mask = rng.uniform(0, 1, 10)
             _, analytic = smoothness(mask, pair_weights(positions, 0.1), pairs)
-            fd = self._fd(lambda m: smoothness_value(m, positions, pairs, 0.1), mask)
+            fd = _fd_gradient(lambda m: smoothness_value(m, positions, pairs, 0.1), mask)
             assert np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-4
 
 
